@@ -64,7 +64,6 @@ from .lp import (
     SimplexIterationError,
     Unbounded,
     check_bounded,
-    enumerate_vertices_oracle,
     solve,
 )
 from .synthetic import (

@@ -11,10 +11,10 @@ explicit policies: an empty window can either error or grow the bandwidth,
 and an unbounded LP can either error or retry at a lower degree (degree 0 is
 always bounded once the window holds a point).
 
-Before solving, responses are shifted by their window maximum. That leaves
-the fit unchanged up to the same shift of the constant coefficient, but makes
-every right-hand side nonpositive, so the simplex starts from the all-surplus
-basis and skips phase 1.
+Before solving, responses are shifted by their window maximum and the
+constant coefficient is shifted back afterwards. The LP then sees the same
+right-hand side whatever the offset of the data, so a fit moves exactly with
+a constant shift of the responses.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class EstimatorConfig:
     fallback: str = "degrade_degree"
     empty_window: str = "error"
     expand_factor: float = 1.5
-    lp_tol: float = 1e-9
 
     def __post_init__(self):
         if self.beta_star < 0:
@@ -173,9 +172,7 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
     while True:
         basis_k = enumerate_basis(data.q, degree)
         p_k = len(basis_k)
-        outcome = lp.solve(
-            lp.LpProblem(v_full[:p_k], A_full[:, :p_k], y_shifted), tol=cfg.lp_tol
-        )
+        outcome = lp.solve(lp.LpProblem(v_full[:p_k], A_full[:, :p_k], y_shifted))
         if isinstance(outcome, lp.Optimal):
             coeffs = outcome.solution.copy()
             coeffs[0] += shift

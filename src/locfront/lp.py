@@ -1,17 +1,23 @@
 """Dense LP solver for "minimize v.b subject to A b >= y" with free variables.
 
-The fitting problem is small and dense (a handful of polynomial coefficients,
-up to a few hundred data constraints), so the solver is a self-contained
-two-phase primal simplex on the standard-form transform: free variables are
-split into differences of nonnegative ones and each >= row gets a surplus
-variable. Rows are oriented so the right-hand side is nonnegative; rows that
-then lack a usable surplus column receive a phase-1 artificial. When no
-artificials are needed (every rhs entry <= 0, which the estimator arranges by
-shifting responses) phase 1 is skipped entirely.
+The fitting problem is small and dense: a handful of polynomial coefficients
+(p <= 10) and one constraint per data row in the window (m up to a few
+thousand). It is solved through its dual
 
-Boundedness of the minimization is equivalent to feasibility of
-{g >= 0 : A^T g = v}; ``check_bounded`` decides that with a phase-1
-construction of its own and returns the multipliers as a certificate.
+    maximize y.g   subject to   A^T g = v,  g >= 0,
+
+a two-phase simplex on a tableau of p equality rows and one column per data
+row. Phase 1 finds a g >= 0 with A^T g = v. Such a g exists exactly when v.b
+is bounded below on the (nonempty) feasible set, so phase 1 is the
+boundedness test and its g is the certificate ``check_bounded`` returns.
+Phase 2 maximizes y.g from there: an unbounded dual means the constraints
+are infeasible, and an optimal basis B gives the primal solution by one
+square solve of A_B b = y_B on its active rows.
+
+Tolerances are scale-free. The entries of a windowed objective shrink like
+h^(q+|j|), so the tableau is built with every column of A scaled to unit
+max-norm (b = c / d) and with v and y scaled to unit max-norm; solutions and
+certificates are mapped back to the caller's scale.
 
 Cycling on degenerate instances (collinear data points) is handled by
 switching to Bland's rule after a budget of degenerate pivots.
@@ -19,10 +25,12 @@ switching to Bland's rule after a budget of degenerate pivots.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+# Pivoting and feasibility tolerance, applied to the scaled tableau.
+TOL = 1e-9
 
 
 class SimplexIterationError(RuntimeError):
@@ -69,7 +77,11 @@ class Optimal:
 
 @dataclass(frozen=True)
 class Unbounded:
-    pass
+    """No g >= 0 with A^T g = v: v.b has no lower bound on the feasible set.
+
+    Reported whenever the dual is infeasible; a fit LP is always feasible
+    (raising the constant coefficient satisfies every row).
+    """
 
 
 @dataclass(frozen=True)
@@ -98,45 +110,43 @@ def _pivot(T: np.ndarray, basis: list[int], r: int, k: int) -> None:
     basis[r] = k
 
 
-def _run_simplex(
-    T: np.ndarray, basis: list[int], tol: float, max_iter: int, bland_after: int
-) -> str:
+def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int) -> str:
     """Iterate to optimality on a tableau with nonnegative rhs column.
 
     Returns "optimal" or "unbounded"; raises SimplexIterationError on the
     pivot budget. Dantzig entering rule with a largest-pivot tie-break,
-    falling back to Bland's rule once ``bland_after`` degenerate pivots
-    accumulate.
+    falling back to Bland's rule once the degenerate pivots in a row exceed
+    50 times the tableau's rows plus columns.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
+    bland_after = 50 * (m + n)
     degenerate = 0
     bland = False
     for _ in range(max_iter):
         costs = T[-1, :n]
         if bland:
-            entering = np.nonzero(costs < -tol)[0]
+            entering = np.nonzero(costs < -TOL)[0]
             if entering.size == 0:
                 return "optimal"
             k = int(entering[0])
         else:
             k = int(np.argmin(costs))
-            if costs[k] >= -tol:
+            if costs[k] >= -TOL:
                 return "optimal"
         col = T[:m, k]
-        positive = col > tol
+        positive = col > TOL
         if not positive.any():
             return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[positive] = T[:m, n][positive] / col[positive]
+        ratios = np.divide(T[:m, n], col, out=np.full(m, np.inf), where=positive)
         theta = float(ratios.min())
-        near = np.nonzero(ratios <= theta + tol * (1.0 + abs(theta)))[0]
+        near = np.nonzero(ratios <= theta + TOL * (1.0 + abs(theta)))[0]
         if bland:
             basis_arr = np.asarray(basis)
             r = int(near[np.argmin(basis_arr[near])])
         else:
             r = int(near[np.argmax(col[near])])
-        if theta <= tol:
+        if theta <= TOL:
             degenerate += 1
             if degenerate > bland_after:
                 bland = True
@@ -148,180 +158,121 @@ def _run_simplex(
     )
 
 
-def _phase1(
-    M: np.ndarray,
-    rhs: np.ndarray,
-    basis_cols: list[int],
-    art_rows: np.ndarray,
-    tol: float,
-    max_iter: int,
-    bland_after: int,
-) -> tuple[np.ndarray, list[int], float, np.ndarray]:
-    """Drive artificial variables on ``art_rows`` to zero.
+@dataclass(frozen=True)
+class _Scaled:
+    """The dual data A^T, v, y at unit max-norm, and the scales to undo."""
 
-    Returns (tableau without artificial columns, basis, phase-1 optimum,
-    indices of surviving rows). Redundant rows whose artificials cannot be
-    pivoted out are dropped.
+    At: np.ndarray
+    v: np.ndarray
+    y: np.ndarray
+    col_scale: np.ndarray
+    v_scale: float
+    y_scale: float
+
+    @classmethod
+    def of(cls, prob: LpProblem) -> "_Scaled":
+        d = np.abs(prob.constraints).max(axis=0)
+        d[d == 0.0] = 1.0
+        w = prob.objective / d
+        v_scale = float(np.abs(w).max()) or 1.0
+        y_scale = float(np.abs(prob.rhs).max()) or 1.0
+        return cls(
+            (prob.constraints / d).T, w / v_scale, prob.rhs / y_scale,
+            d, v_scale, y_scale,
+        )
+
+
+def _pivot_budget(prob: LpProblem, max_iter: int | None) -> int:
+    m, p = prob.shape
+    return 500 + 20 * (m + p) if max_iter is None else max_iter
+
+
+def _phase1(s: _Scaled, max_iter: int):
+    """Basic solution of {g >= 0 : A^T g = v} in the scaled problem.
+
+    Returns None when the set is empty. Otherwise returns (T, basis, kept):
+    the tableau with its phase-1 cost row, the basic column of each tableau
+    row, and the equality rows left after dropping the redundant ones, which
+    are linear combinations of the kept rows.
     """
-    m, n_real = M.shape
-    n_art = art_rows.size
-    T = np.zeros((m + 1, n_real + n_art + 1))
-    T[:m, :n_real] = M
-    T[np.asarray(art_rows), n_real + np.arange(n_art)] = 1.0
-    T[:m, -1] = rhs
-    basis = list(basis_cols)
-    for slot, i in enumerate(art_rows):
-        basis[i] = n_real + slot
-    # reduced phase-1 costs: unit cost on artificials, then eliminate basics
-    T[-1, n_real : n_real + n_art] = 1.0
-    for i in art_rows:
-        T[-1] -= T[i]
-    status = _run_simplex(T, basis, tol, max_iter, bland_after)
-    if status != "optimal":
+    p, m = s.At.shape
+    # Rows are oriented to a nonnegative rhs and start on artificial basics,
+    # numbered m..m+p-1. Their columns are not stored: an artificial that
+    # leaves the basis never re-enters, and none is needed afterwards.
+    sign = np.where(s.v < 0.0, -1.0, 1.0)
+    T = np.empty((p + 1, m + 1))
+    T[:p, :m] = sign[:, None] * s.At
+    T[:p, m] = sign * s.v
+    # unit cost on the artificials, reduced against the artificial basis
+    T[p] = -T[:p].sum(axis=0)
+    basis = list(range(m, m + p))
+    if _run_simplex(T, basis, max_iter) != "optimal":
         # the artificial sum is bounded below by zero; anything else is breakdown
-        raise SimplexIterationError(f"phase 1 ended with status {status!r}")
-    opt = -float(T[-1, -1])
+        raise SimplexIterationError("phase 1 of the dual ended unbounded")
+    if -T[p, m] > 100 * TOL:
+        return None
 
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n_real:
+    rows = []
+    dropped = []
+    for i in range(p):
+        if basis[i] >= m:
             # basic artificial at zero: pivot it out or drop the redundant row
-            row = T[i, :n_real]
-            candidates = np.nonzero(np.abs(row) > tol * 10)[0]
-            if candidates.size:
-                _pivot(T, basis, i, int(candidates[0]))
-            else:
-                keep[i] = False
-    rows = np.nonzero(keep)[0]
-    kept_T = np.zeros((rows.size + 1, n_real + 1))
-    kept_T[:-1, :n_real] = T[rows, :n_real]
-    kept_T[:-1, -1] = T[rows, -1]
-    kept_basis = [basis[i] for i in rows]
-    return kept_T, kept_basis, opt, rows
+            entries = np.abs(T[i, :m])
+            k = int(np.argmax(entries))
+            if entries[k] <= 10 * TOL:
+                dropped.append(basis[i] - m)
+                continue
+            _pivot(T, basis, i, k)
+        rows.append(i)
+    kept = [j for j in range(p) if j not in dropped]
+    return T[rows + [p]], [basis[i] for i in rows], kept
 
 
-def solve(prob: LpProblem, tol: float = 1e-9, max_iter: int | None = None) -> LpOutcome:
+def solve(prob: LpProblem, max_iter: int | None = None) -> LpOutcome:
     """Solve the LP, reporting Optimal / Unbounded / Infeasible.
 
     Parameters
     ----------
     prob : LpProblem
-    tol : float
-        Internal pivoting and feasibility tolerance.
     max_iter : int, optional
-        Pivot budget; exceeding it raises SimplexIterationError rather than
-        returning an outcome.
+        Pivot budget of each simplex phase; exceeding it raises
+        SimplexIterationError rather than returning an outcome.
     """
-    A = prob.constraints
-    v = prob.objective
-    y = prob.rhs
-    m, p = A.shape
-    n_real = 2 * p + m
-    if max_iter is None:
-        max_iter = 500 + 20 * (m + n_real)
-    bland_after = 50 * (m + p)
-
-    # orient rows to nonnegative rhs; flipped rows get a usable +1 surplus
-    sign = np.where(y <= 0.0, -1.0, 1.0)
-    M = np.zeros((m, n_real))
-    M[:, :p] = sign[:, None] * A
-    M[:, p : 2 * p] = -M[:, :p]
-    M[np.arange(m), 2 * p + np.arange(m)] = -sign
-    rhs = sign * y
-
-    art_rows = np.nonzero(sign > 0)[0]
-    if art_rows.size:
-        # flipped rows keep their surplus as basic; the rest get artificials
-        basis_cols = [(2 * p + i) if sign[i] < 0 else -1 for i in range(m)]
-        T, basis, p1_opt, _ = _phase1(
-            M, rhs, basis_cols, art_rows, tol, max_iter, bland_after
-        )
-        scale = max(1.0, float(np.abs(y).max()))
-        if p1_opt > 100 * tol * scale:
-            return Infeasible()
-        m_eff = T.shape[0] - 1
-    else:
-        m_eff = m
-        T = np.zeros((m + 1, n_real + 1))
-        T[:m, :n_real] = M
-        T[:m, -1] = rhs
-        basis = [2 * p + i for i in range(m)]
-
-    # phase-2 costs reduced against the current basis
-    c = np.zeros(n_real)
-    c[:p] = v
-    c[p : 2 * p] = -v
-    T[-1, :n_real] = c
-    T[-1, -1] = 0.0
-    for i in range(m_eff):
-        cb = c[basis[i]]
-        if cb != 0.0:
-            T[-1] -= cb * T[i]
-
-    status = _run_simplex(T, basis, tol, max_iter, bland_after)
-    if status == "unbounded":
+    s = _Scaled.of(prob)
+    max_iter = _pivot_budget(prob, max_iter)
+    start = _phase1(s, max_iter)
+    if start is None:
         return Unbounded()
-    z = np.zeros(n_real)
-    for i in range(m_eff):
-        z[basis[i]] = T[i, -1]
-    b = z[:p] - z[p : 2 * p]
-    return Optimal(solution=b, objective_value=float(v @ b))
+    T, basis, kept = start
+    m = s.At.shape[1]
+
+    # phase 2: maximize y.g, i.e. minimize -y.g, costs reduced against the basis
+    T[-1] = 0.0
+    T[-1, :m] = -s.y
+    T[-1] += s.y[basis] @ T[:-1]
+    if _run_simplex(T, basis, max_iter) == "unbounded":
+        return Infeasible()
+
+    # the active rows hold with equality: A_B b = y_B, redundant coefficients 0
+    c = np.zeros(s.At.shape[0])
+    c[kept] = np.linalg.solve(s.At[kept][:, basis].T, s.y[basis])
+    b = c * s.y_scale / s.col_scale
+    return Optimal(solution=b, objective_value=float(prob.objective @ b))
 
 
 def check_bounded(
-    prob: LpProblem, tol: float = 1e-9, max_iter: int | None = None
+    prob: LpProblem, max_iter: int | None = None
 ) -> BoundednessCertificate | None:
     """Certificate g >= 0 with A^T g = v, or None when no such g exists.
 
-    Absence of a certificate is equivalent to the minimization being
-    unbounded below on a nonempty feasible set.
+    This is phase 1 of ``solve``: no certificate means ``solve`` reports
+    Unbounded.
     """
-    A = prob.constraints
-    v = prob.objective
-    m, p = A.shape
-    if max_iter is None:
-        max_iter = 500 + 20 * (m + p)
-    bland_after = 50 * (m + p)
-
-    sign = np.where(v < 0.0, -1.0, 1.0)
-    M = sign[:, None] * A.T
-    rhs = sign * v
-    art_rows = np.arange(p)
-    T, basis, p1_opt, _ = _phase1(
-        M, rhs, [-1] * p, art_rows, tol, max_iter, bland_after
-    )
-    scale = max(1.0, float(np.abs(v).max()))
-    if p1_opt > 100 * tol * scale:
+    s = _Scaled.of(prob)
+    start = _phase1(s, _pivot_budget(prob, max_iter))
+    if start is None:
         return None
-    g = np.zeros(m)
-    for i, bj in enumerate(basis):
-        if bj < m:
-            g[bj] = T[i, -1]
+    T, basis, _ = start
+    g = np.zeros(s.At.shape[1])
+    g[basis] = T[:-1, -1] * s.v_scale
     return BoundednessCertificate(multipliers=g)
-
-
-def enumerate_vertices_oracle(
-    prob: LpProblem, feas_tol: float = 1e-9
-) -> list[np.ndarray]:
-    """All basic feasible points of {b : A b >= y}, by exhaustion. Test oracle.
-
-    Every subset of p linearly independent rows is intersected and kept if it
-    satisfies the remaining constraints. Only intended for small instances
-    (p <= 6, m <= 10); larger problems are rejected.
-    """
-    A = prob.constraints
-    y = prob.rhs
-    m, p = A.shape
-    if p > 6 or m > 10:
-        raise ValueError(f"oracle limited to p <= 6, m <= 10, got p={p}, m={m}")
-    scale = max(1.0, float(np.abs(y).max()))
-    vertices = []
-    for rows in itertools.combinations(range(m), p):
-        sub = A[list(rows)]
-        sv = np.linalg.svd(sub, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            continue
-        b = np.linalg.solve(sub, y[list(rows)])
-        if np.all(A @ b >= y - feas_tol * scale):
-            vertices.append(b)
-    return vertices

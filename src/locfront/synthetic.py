@@ -151,13 +151,6 @@ def make_sample(design: np.ndarray, model: ModelSpec, errors) -> Dataset:
     return Dataset(pts, y)
 
 
-def export_dataset(data: Dataset, path) -> None:
-    """Write a generated dataset in the estimator's CSV ingestion format."""
-    from .estimator import save_dataset
-
-    save_dataset(data, path)
-
-
 def verify_design_density(points, h: float, d: float) -> int:
     """Minimum point count over a shifted lattice of cubes with edge d*h.
 

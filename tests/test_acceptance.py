@@ -24,13 +24,16 @@ from locfront.lp import (
     Optimal,
     Unbounded,
     check_bounded,
-    enumerate_vertices_oracle,
     solve,
 )
 from locfront.synthetic import ModelSpec
 from locfront.windows import clip_window, contains_mask, objective_vector
 
-from oracles import brute_force_ladder_index, quad_monomial_integral
+from oracles import (
+    brute_force_ladder_index,
+    enumerate_vertices_oracle,
+    quad_monomial_integral,
+)
 
 TABLE1_Q2 = {
     (0, 100): 1.56, (0, 400): 0.95, (0, 900): 0.62,

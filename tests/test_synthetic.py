@@ -2,13 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from locfront.estimator import load_dataset
+from locfront.estimator import load_dataset, save_dataset
 from locfront.synthetic import (
     DesignSpec,
     ErrorSpec,
     ModelSpec,
     eval_boundary,
-    export_dataset,
     gen_design,
     make_sample,
     sample_errors,
@@ -150,7 +149,7 @@ class TestMakeSample:
         pts = gen_design(DesignSpec("random_uniform", q=2, n=10), rng)
         ds = make_sample(pts, ModelSpec("sine_sum"), sample_errors(ErrorSpec("exponential_unit"), 10, rng))
         path = tmp_path / "sample.csv"
-        export_dataset(ds, path)
+        save_dataset(ds, path)
         loaded = load_dataset(path)
         npt.assert_array_equal(loaded.points, ds.points)
         npt.assert_array_equal(loaded.responses, ds.responses)
