@@ -16,10 +16,8 @@ from .basis import (
     PolyCoeffs,
     enumerate_basis,
     eval_poly,
-    eval_shifted_monomial,
     poly_gradient,
     vandermonde,
-    vandermonde_row,
 )
 from .bandwidth import (
     AdaptiveConfig,
@@ -51,8 +49,7 @@ from .harness import (
     RateStudyResult,
     ResultTable,
     run_adaptive,
-    run_mse_center,
-    run_mse_grid,
+    run_mse,
     run_rate_study,
 )
 from .lp import (
@@ -76,6 +73,6 @@ from .synthetic import (
     sample_errors,
     verify_design_density,
 )
-from .windows import Window, clip_window, contains, monomial_integral, objective_vector
+from .windows import Window, clip_window, objective_vector
 
 __version__ = "0.1.0"

@@ -134,18 +134,6 @@ def _check_point(t, q: int, name: str) -> np.ndarray:
     return arr
 
 
-def eval_shifted_monomial(j: MultiIndex, t, x) -> float:
-    """Evaluate (t - x)**j as a product over coordinates, with 0**0 == 1."""
-    tv = _check_point(t, j.q, "t")
-    xv = _check_point(x, j.q, "x")
-    d = tv - xv
-    out = 1.0
-    for r, e in enumerate(j.exponents):
-        if e:
-            out *= d[r] ** e
-    return float(out)
-
-
 def vandermonde(basis: BasisSpec, points, x) -> np.ndarray:
     """Shifted-monomial design matrix for a batch of points.
 
@@ -177,16 +165,11 @@ def vandermonde(basis: BasisSpec, points, x) -> np.ndarray:
     return rows
 
 
-def vandermonde_row(basis: BasisSpec, t, x) -> np.ndarray:
-    """Single row of the shifted-monomial design matrix (entry 0 is 1)."""
-    return vandermonde(basis, np.asarray(t, dtype=float).reshape(1, -1), x)[0]
-
-
 def eval_poly(coeffs: PolyCoeffs, t, x):
     """Value of the polynomial at t (or an (m, q) batch of points)."""
     tv = np.asarray(t, dtype=float)
     if tv.ndim <= 1:
-        return float(vandermonde_row(coeffs.basis, tv, x) @ coeffs.coeffs)
+        return float(vandermonde(coeffs.basis, tv.reshape(1, -1), x)[0] @ coeffs.coeffs)
     return vandermonde(coeffs.basis, tv, x) @ coeffs.coeffs
 
 

@@ -165,10 +165,7 @@ def _cmd_simulate(args) -> int:
     spec = harness.build_experiment_spec(cfg)
     if spec.bandwidth.kind == "adaptive":
         raise ConfigError("simulate needs a non-adaptive bandwidth rule; see 'adaptive'")
-    if spec.evaluation == "grid":
-        table = harness.run_mse_grid(spec, workers=args.workers)
-    else:
-        table = harness.run_mse_center(spec, workers=args.workers)
+    table = harness.run_mse(spec, workers=args.workers)
     harness.write_result_csv(table, args.out_csv)
     harness.write_result_json(table, spec, args.out_json)
     # files keep full precision; the console view rounds to 4 significant digits
@@ -185,7 +182,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_rate_study(args) -> int:
     cfg = _read_config(args.config)
     spec = harness.build_experiment_spec(cfg)
-    grid_size = int(cfg.get("rate_grid", str(args.eval_grid)))
+    grid_size = harness.config_int(cfg, "rate_grid", args.eval_grid)
     result = harness.run_rate_study(spec, eval_grid_size=grid_size, workers=args.workers)
     payload = {
         "beta_star": result.beta_star,

@@ -4,6 +4,15 @@ Every replication draws its own generator from the substream keyed by
 (master_seed, beta_star, n, replication index), so results are bit-identical
 whether replications run sequentially or across a process pool, and removing
 a cell from an experiment never changes another cell's numbers.
+
+One pipeline serves every study. ``_replication_errors`` builds a
+replication's dataset, resolves h, fits each point of an evaluation grid and
+returns the signed errors against the true boundary with the worst fit
+status; ``_run_cells`` runs a task for every replication of every
+(beta_star, n) cell. ``run_mse`` reduces the errors to a mean square per
+replication (center evaluation is the one-point grid), ``run_rate_study`` to
+a sup-error per replication and a median per n; ``run_adaptive`` runs the
+ladder selection through the same runner.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -167,12 +175,8 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _replication_rng(spec: ExperimentSpec, beta_star: int, n: int, r: int):
-    return np.random.default_rng([spec.master_seed, beta_star, n, r])
-
-
 def _make_dataset(spec: ExperimentSpec, beta_star: int, n: int, r: int) -> Dataset:
-    rng = _replication_rng(spec, beta_star, n, r)
+    rng = np.random.default_rng([spec.master_seed, beta_star, n, r])
     design = DesignSpec(spec.design, spec.q, n)
     points = gen_design(design, rng)
     errors = sample_errors(spec.error, n, rng)
@@ -192,56 +196,21 @@ def evaluation_grid(q: int, points_per_axis: int) -> np.ndarray:
     return np.stack([g.ravel(order="F") for g in mesh], axis=1)
 
 
-def _fit_config(spec: ExperimentSpec, beta_star: int, h: float) -> EstimatorConfig:
-    return EstimatorConfig(
-        beta_star=beta_star,
-        h=h,
-        fallback=spec.fallback,
-        empty_window=spec.empty_window,
+_STATUS_RANK = {"exact": 0, "expanded": 1, "degraded": 2}
+
+
+def _replication_errors(args) -> tuple[np.ndarray, str]:
+    """Signed errors ghat - g of one replication at every grid point, and its
+    worst fit status ("degraded" over "expanded" over "exact")."""
+    spec, beta_star, n, r, grid = args
+    data = _make_dataset(spec, beta_star, n, r)
+    h = resolve_bandwidth(spec.bandwidth, n, spec.q, beta_star)
+    cfg = EstimatorConfig(
+        beta_star=beta_star, h=h, fallback=spec.fallback, empty_window=spec.empty_window
     )
-
-
-def _center_task(args) -> tuple[float, str]:
-    spec, beta_star, n, r = args
-    data = _make_dataset(spec, beta_star, n, r)
-    h = resolve_bandwidth(spec.bandwidth, n, spec.q, beta_star)
-    center = np.full(spec.q, 0.5)
-    result = fit_at(data, center, _fit_config(spec, beta_star, h))
-    truth = eval_boundary(spec.model, center)
-    return (result.value - truth) ** 2, result.status
-
-
-def _grid_task(args) -> tuple[float, str]:
-    spec, beta_star, n, r = args
-    data = _make_dataset(spec, beta_star, n, r)
-    h = resolve_bandwidth(spec.bandwidth, n, spec.q, beta_star)
-    cfg = _fit_config(spec, beta_star, h)
-    grid = evaluation_grid(spec.q, spec.grid_points_per_axis)
-    truth = eval_boundary(spec.model, grid)
-    sq_sum = 0.0
-    worst = "exact"
-    for point, g_true in zip(grid, truth):
-        result = fit_at(data, point, cfg)
-        sq_sum += (result.value - g_true) ** 2
-        if result.status == "degraded":
-            worst = "degraded"
-        elif result.status == "expanded" and worst == "exact":
-            worst = "expanded"
-    return sq_sum / grid.shape[0], worst
-
-
-def _sup_error_task(args) -> float:
-    spec, beta_star, n, r, grid_size = args
-    data = _make_dataset(spec, beta_star, n, r)
-    h = resolve_bandwidth(spec.bandwidth, n, spec.q, beta_star)
-    cfg = _fit_config(spec, beta_star, h)
-    grid = evaluation_grid(spec.q, grid_size)
-    truth = eval_boundary(spec.model, grid)
-    worst = 0.0
-    for point, g_true in zip(grid, truth):
-        result = fit_at(data, point, cfg)
-        worst = max(worst, abs(result.value - g_true))
-    return worst
+    fits = [fit_at(data, point, cfg) for point in grid]
+    errors = np.array([fit.value for fit in fits]) - eval_boundary(spec.model, grid)
+    return errors, max((fit.status for fit in fits), key=_STATUS_RANK.__getitem__)
 
 
 def _adaptive_task(args) -> AdaptiveResult:
@@ -250,72 +219,67 @@ def _adaptive_task(args) -> AdaptiveResult:
     return adaptive_bandwidth(data, beta_star, cfg)
 
 
-def _run_tasks(task_fn, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
-        return [task_fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task_fn, tasks, chunksize=chunk))
+def _run_cells(task_fn, spec: ExperimentSpec, extra, workers: int | None) -> list:
+    """``(beta_star, n, results)`` per cell, ``results`` holding
+    ``task_fn((spec, beta_star, n, r, extra))`` for every replication r.
+
+    Each cell runs on its own process pool when workers > 1. A failing
+    replication is re-raised with its cell attached.
+    """
+    workers = default_workers() if workers is None else workers
+    cells = []
+    for beta_star in spec.beta_star_list:
+        for n in spec.n_list:
+            tasks = [(spec, beta_star, n, r, extra) for r in range(spec.replications)]
+            try:
+                if workers <= 1 or len(tasks) <= 1:
+                    results = [task_fn(t) for t in tasks]
+                else:
+                    chunk = max(1, len(tasks) // (8 * workers))
+                    with ProcessPoolExecutor(max_workers=workers) as pool:
+                        results = list(pool.map(task_fn, tasks, chunksize=chunk))
+            except (ValueError, RuntimeError) as err:
+                raise type(err)(f"cell (beta_star={beta_star}, n={n}): {err}") from err
+            cells.append((beta_star, n, results))
+    return cells
 
 
-def _identify(task_fn, tasks, workers, label_fn):
-    """Run tasks, re-raising any failure with the offending cell attached."""
-    try:
-        return _run_tasks(task_fn, tasks, workers)
-    except (ValueError, RuntimeError) as err:
-        raise type(err)(f"{label_fn()}: {err}") from err
+def _mean_square(errors: np.ndarray) -> float:
+    # scalar powers summed left to right: np.mean's pairwise sum changes the
+    # last bits of the MSE, and an array square (x*x) can differ from a scalar
+    # power (C pow) by one ulp
+    total = 0.0
+    for err in errors:
+        total += err ** 2
+    return total / errors.size
 
 
-def _aggregate(results: Iterable[tuple[float, str]], replications: int) -> CellResult:
-    values = np.array([r[0] for r in results])
-    statuses = [r[1] for r in results]
+def _aggregate(results: list[tuple[np.ndarray, str]]) -> CellResult:
+    values = np.array([_mean_square(errors) for errors, _ in results])
+    statuses = [status for _, status in results]
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
     return CellResult(
         mse=float(values.mean()),
         mc_stderr=stderr,
-        replications=replications,
+        replications=len(results),
         n_exact=statuses.count("exact"),
         n_degraded=statuses.count("degraded"),
         n_expanded=statuses.count("expanded"),
     )
 
 
-def run_mse_center(spec: ExperimentSpec, workers: int | None = None) -> ResultTable:
-    """Center-point MSE per cell: mean of (ghat(0.5,...) - g(0.5,...))^2."""
-    if spec.evaluation != "center":
-        raise ValueError("run_mse_center needs evaluation='center'")
-    workers = default_workers() if workers is None else workers
-    cells = {}
-    for beta_star in spec.beta_star_list:
-        for n in spec.n_list:
-            tasks = [(spec, beta_star, n, r) for r in range(spec.replications)]
-            results = _identify(
-                _center_task, tasks, workers,
-                lambda: f"cell (beta_star={beta_star}, n={n})",
-            )
-            cells[(beta_star, n)] = _aggregate(results, spec.replications)
-    return ResultTable(cells)
-
-
-def run_mse_grid(spec: ExperimentSpec, workers: int | None = None) -> ResultTable:
-    """Grid-mean MSE per cell: replication average of per-grid-point MSE.
+def run_mse(spec: ExperimentSpec, workers: int | None = None) -> ResultTable:
+    """MSE per cell: replication mean of the squared error averaged over the
+    evaluation points (the cube center, or the ``grid_points_per_axis``
+    lattice for grid evaluation).
 
     A replication's status tally is its worst fit ("degraded" over "expanded"
-    over "exact"), so tallies still sum to the replication count.
+    over "exact"), so tallies sum to the replication count.
     """
-    if spec.evaluation != "grid":
-        raise ValueError("run_mse_grid needs evaluation='grid'")
-    workers = default_workers() if workers is None else workers
-    cells = {}
-    for beta_star in spec.beta_star_list:
-        for n in spec.n_list:
-            tasks = [(spec, beta_star, n, r) for r in range(spec.replications)]
-            results = _identify(
-                _grid_task, tasks, workers,
-                lambda: f"cell (beta_star={beta_star}, n={n})",
-            )
-            cells[(beta_star, n)] = _aggregate(results, spec.replications)
-    return ResultTable(cells)
+    per_axis = spec.grid_points_per_axis if spec.evaluation == "grid" else 1
+    grid = evaluation_grid(spec.q, per_axis)
+    cells = _run_cells(_replication_errors, spec, grid, workers)
+    return ResultTable({(b, n): _aggregate(results) for b, n, results in cells})
 
 
 @dataclass(frozen=True)
@@ -350,23 +314,19 @@ def run_rate_study(
         raise ValueError("rate study runs one beta_star at a time")
     if sorted(spec.n_list) != list(spec.n_list):
         raise ValueError("n_list must be increasing")
-    workers = default_workers() if workers is None else workers
-    beta_star = spec.beta_star_list[0]
-    medians = []
-    for n in spec.n_list:
-        tasks = [
-            (spec, beta_star, n, r, eval_grid_size) for r in range(spec.replications)
-        ]
-        sups = _identify(
-            _sup_error_task, tasks, workers, lambda: f"rate cell n={n}"
-        )
-        medians.append(float(np.median(sups)))
+    if eval_grid_size < 1:
+        raise ValueError("rate study needs eval_grid_size >= 1")
+    grid = evaluation_grid(spec.q, eval_grid_size)
+    medians = [
+        float(np.median([np.max(np.abs(errors)) for errors, _ in results]))
+        for _, _, results in _run_cells(_replication_errors, spec, grid, workers)
+    ]
     slope = float(
         np.polyfit(np.log(np.asarray(spec.n_list, float)), np.log(medians), 1)[0]
     )
     alpha, beta = spec.bandwidth.alpha, spec.bandwidth.beta
     return RateStudyResult(
-        beta_star=beta_star,
+        beta_star=spec.beta_star_list[0],
         alpha=alpha,
         beta=beta,
         n_list=spec.n_list,
@@ -389,19 +349,11 @@ def run_adaptive(
     """Ladder-selected bandwidth and diagnostics for every replication."""
     if len(spec.beta_star_list) != 1:
         raise ValueError("adaptive runs use one beta_star at a time")
-    workers = default_workers() if workers is None else workers
-    beta_star = spec.beta_star_list[0]
-    runs = []
-    for n in spec.n_list:
-        tasks = [(spec, beta_star, n, r, cfg) for r in range(spec.replications)]
-        results = _identify(
-            _adaptive_task, tasks, workers, lambda: f"adaptive cell n={n}"
-        )
-        runs.extend(
-            AdaptiveRun(n=n, replication=r, result=res)
-            for r, res in enumerate(results)
-        )
-    return runs
+    return [
+        AdaptiveRun(n=n, replication=r, result=res)
+        for _, n, results in _run_cells(_adaptive_task, spec, cfg, workers)
+        for r, res in enumerate(results)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +443,16 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+def config_int(cfg: dict[str, str], key: str, default: int | None = None) -> int | None:
+    """Integer value of ``key``, or ``default`` when the key is absent."""
+    if key not in cfg:
+        return default
+    try:
+        return int(cfg[key])
+    except ValueError as err:
+        raise ConfigError(f"{key}: expected an integer, got {cfg[key]!r}") from err
+
+
 def _int_list(value: str, key: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip()) for part in value.split(","))
@@ -555,11 +517,11 @@ def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
         raise ConfigError(f"model: expected 'sine_sum' or 'cubic_1d', got {model!r}")
     try:
         return ExperimentSpec(
-            q=int(cfg["q"]),
+            q=config_int(cfg, "q"),
             n_list=_int_list(cfg["n"], "n"),
             beta_star_list=_int_list(cfg["beta_star"], "beta_star"),
-            replications=int(cfg["replications"]),
-            master_seed=int(cfg["seed"]),
+            replications=config_int(cfg, "replications"),
+            master_seed=config_int(cfg, "seed"),
             design=cfg.get("design", "random_uniform"),
             error=_parse_error(cfg.get("error", "exponential")),
             model=ModelSpec(model),
@@ -574,19 +536,17 @@ def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
 
 
 def build_adaptive_config(cfg: dict[str, str], q: int) -> AdaptiveConfig:
-    """AdaptiveConfig from the adaptive_* keys (grid size defaults to 25^1/q)."""
-    grid_n = int(cfg.get("adaptive_grid", "25"))
+    """AdaptiveConfig from the adaptive_* keys (grid defaults to 25 points per axis)."""
+    grid_n = config_int(cfg, "adaptive_grid", 25)
     if grid_n < 1:
         raise ConfigError("adaptive_grid must be >= 1")
-    grid = evaluation_grid(q, grid_n) if grid_n > 1 else np.full((1, q), 0.5)
-    hill_order = cfg.get("adaptive_hill_order")
     try:
         return AdaptiveConfig(
-            grid=grid,
+            grid=evaluation_grid(q, grid_n),
             s=float(cfg.get("adaptive_s", "0.5")),
             rho=float(cfg.get("adaptive_rho", "1.25")),
             threshold_constant=float(cfg.get("adaptive_constant", "1.0")),
-            hill_order=int(hill_order) if hill_order is not None else None,
+            hill_order=config_int(cfg, "adaptive_hill_order"),
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err

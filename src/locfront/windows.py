@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, MultiIndex
+from .basis import BasisSpec
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,6 @@ def clip_window(x, h: float) -> Window:
     return Window(center=xv, bandwidth=float(h), lower=lower, upper=upper)
 
 
-def contains(w: Window, t) -> bool:
-    """True iff t is within max-norm distance h of the center and inside the cube."""
-    tv = np.asarray(t, dtype=float)
-    if tv.ndim == 0:
-        tv = tv.reshape(1)
-    if tv.shape[0] != w.q:
-        raise ValueError(f"point has dimension {tv.shape[0]}, expected {w.q}")
-    if np.any(tv < 0) or np.any(tv > 1):
-        return False
-    return bool(np.max(np.abs(tv - w.center)) <= w.bandwidth)
-
-
 def contains_mask(w: Window, points: np.ndarray) -> np.ndarray:
     """Vectorized membership test for an (n, q) array of cube points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -88,14 +76,6 @@ def _axis_integrals(w: Window, max_degree: int) -> np.ndarray:
     parity = np.where(d1 % 2 == 0, 1.0, -1.0)
     lo_pow = parity * (-lo)[:, None] ** d1
     return (hi[:, None] ** d1 - lo_pow) / d1
-
-
-def monomial_integral(w: Window, j: MultiIndex) -> float:
-    """Exact integral of (t - x)**j over the clipped window."""
-    if j.q != w.q:
-        raise ValueError(f"multi-index has dimension {j.q}, expected {w.q}")
-    table = _axis_integrals(w, max(j.exponents))
-    return float(np.prod([table[r, e] for r, e in enumerate(j.exponents)]))
 
 
 def objective_vector(w: Window, basis: BasisSpec) -> np.ndarray:

@@ -9,6 +9,7 @@ HiGHS instead of the package's simplex.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -23,6 +24,15 @@ def quad_monomial_integral(lower, upper, center, exponents) -> float:
                         epsabs=1e-13, epsrel=1e-13)
         total *= value
     return total
+
+
+def shifted_monomial_row(basis, t, x) -> np.ndarray:
+    """(t - x)**j for every basis index j, one coordinate product per monomial."""
+    d = np.asarray(t, dtype=float) - np.asarray(x, dtype=float)
+    return np.array(
+        [math.prod(d[r] ** e for r, e in enumerate(mi.exponents)) for mi in basis.indices],
+        dtype=float,
+    )
 
 
 def brute_force_min_cube_count(points: np.ndarray, edge: float) -> int:

@@ -15,8 +15,7 @@ from locfront.estimator import Dataset, EstimatorConfig, fit_at, fit_local_const
 from locfront.harness import (
     BandwidthRule,
     ExperimentSpec,
-    run_mse_center,
-    run_mse_grid,
+    run_mse,
     run_rate_study,
 )
 from locfront.lp import (
@@ -61,7 +60,7 @@ def test_criterion_01_table1_q2_center_mse():
         master_seed=20250808,
         evaluation="center",
     )
-    table = run_mse_center(spec)
+    table = run_mse(spec)
     misses = []
     for key, published in TABLE1_Q2.items():
         mse = table.cells[key].mse
@@ -91,7 +90,7 @@ def test_criterion_02_table1_q3_reduced():
             master_seed=20250809,
             evaluation="center",
         )
-        mse = run_mse_center(spec).cells[(beta_star, n)].mse
+        mse = run_mse(spec).cells[(beta_star, n)].mse
         if not published / 2 <= mse <= published * 2:
             misses.append(f"({beta_star},{n}): mse={mse:.5g} vs published {published}")
     report(
@@ -112,7 +111,7 @@ def test_criterion_03_table2_q2_grid_mse():
         evaluation="grid",
         grid_points_per_axis=20,
     )
-    table = run_mse_grid(spec)
+    table = run_mse(spec)
     misses = []
     for key, published in TABLE2_Q2.items():
         mse = table.cells[key].mse
@@ -127,7 +126,7 @@ def test_criterion_03_table2_q2_grid_mse():
         evaluation="grid",
         grid_points_per_axis=20,
     )
-    blow = run_mse_grid(blow_spec).cells[(3, 100)].mse
+    blow = run_mse(blow_spec).cells[(3, 100)].mse
     if not blow > 1.0:
         misses.append(f"boundary blow-up absent: (3,100) grid MSE {blow:.4g} <= 1")
     report(

@@ -11,11 +11,11 @@ from locfront.basis import (
     PolyCoeffs,
     enumerate_basis,
     eval_poly,
-    eval_shifted_monomial,
     poly_gradient,
     vandermonde,
-    vandermonde_row,
 )
+
+from oracles import shifted_monomial_row
 
 
 class TestEnumerateBasis:
@@ -65,39 +65,46 @@ class TestEnumerateBasis:
             MultiIndex((1, -1))
 
 
+def shifted_monomial(exponents, t, x) -> float:
+    """(t - x)**j read from the matching column of a one-row vandermonde."""
+    basis = enumerate_basis(len(exponents), sum(exponents))
+    column = basis.indices.index(MultiIndex(exponents))
+    return vandermonde(basis, t, x)[0, column]
+
+
 class TestShiftedMonomial:
     def test_product(self):
-        assert eval_shifted_monomial(MultiIndex((1, 2)), (3.0, 4.0), (1.0, 1.0)) == 18.0
+        assert shifted_monomial((1, 2), (3.0, 4.0), (1.0, 1.0)) == 18.0
 
     def test_empty_product_is_one(self):
-        assert eval_shifted_monomial(MultiIndex((0, 0)), (0.3, 0.9), (0.5, 0.5)) == 1.0
+        assert shifted_monomial((0, 0), (0.3, 0.9), (0.5, 0.5)) == 1.0
 
     def test_univariate_square(self):
-        value = eval_shifted_monomial(MultiIndex((2,)), (0.3,), (0.5,))
+        value = shifted_monomial((2,), (0.3,), (0.5,))
         assert value == pytest.approx(0.04, abs=1e-15)
 
     def test_zero_to_the_zero(self):
-        assert eval_shifted_monomial(MultiIndex((0,)), (0.5,), (0.5,)) == 1.0
+        assert shifted_monomial((0,), (0.5,), (0.5,)) == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            eval_shifted_monomial(MultiIndex((1, 0)), (0.5,), (0.5, 0.5))
+            vandermonde(enumerate_basis(2, 1), (0.5, 0.5), (0.5,))
 
 
 class TestVandermonde:
     def test_degree_one_row(self):
         basis = enumerate_basis(2, 1)
-        row = vandermonde_row(basis, (0.6, 0.4), (0.5, 0.5))
+        row = vandermonde(basis, (0.6, 0.4), (0.5, 0.5))[0]
         npt.assert_allclose(row, [1.0, 0.1, -0.1], atol=1e-12)
 
     def test_center_row(self):
         basis = enumerate_basis(1, 2)
-        npt.assert_array_equal(vandermonde_row(basis, (0.5,), (0.5,)), [1.0, 0.0, 0.0])
+        npt.assert_array_equal(vandermonde(basis, (0.5,), (0.5,))[0], [1.0, 0.0, 0.0])
 
     def test_unit_shift_all_ones(self):
         basis = enumerate_basis(2, 2)
         npt.assert_array_equal(
-            vandermonde_row(basis, (1.0, 1.0), (0.0, 0.0)), np.ones(6)
+            vandermonde(basis, (1.0, 1.0), (0.0, 0.0))[0], np.ones(6)
         )
 
     def test_batch_matches_rows(self):
@@ -107,11 +114,11 @@ class TestVandermonde:
         x = rng.uniform(0, 1, 3)
         batch = vandermonde(basis, pts, x)
         for i in range(7):
-            npt.assert_allclose(batch[i], vandermonde_row(basis, pts[i], x), rtol=1e-14)
+            npt.assert_allclose(batch[i], shifted_monomial_row(basis, pts[i], x), rtol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            vandermonde_row(enumerate_basis(2, 1), (0.5,), (0.5, 0.5))
+            vandermonde(enumerate_basis(2, 1), (0.5,), (0.5, 0.5))
 
 
 class TestEvalPoly:

@@ -8,7 +8,7 @@ from locfront.estimator import EstimatorConfig, fit_at, save_dataset
 from locfront.harness import (
     build_experiment_spec,
     parse_config,
-    run_mse_center,
+    run_mse,
 )
 from locfront.synthetic import DesignSpec, ErrorSpec, ModelSpec, gen_design, make_sample, sample_errors
 
@@ -100,7 +100,7 @@ class TestSimulateCommand:
         assert code == 0
         payload = json.loads(out_json.read_text())
         spec = build_experiment_spec(parse_config(SIM_CONFIG))
-        table = run_mse_center(spec, workers=1)
+        table = run_mse(spec, workers=1)
         expected = {(row["beta_star"], row["n"]): row["mse"] for row in table.rows()}
         for row in payload["results"]:
             assert row["mse"] == expected[(row["beta_star"], row["n"])]
@@ -153,6 +153,22 @@ class TestRateStudyCommand:
         assert payload["expected_slope"] == pytest.approx(-2 / 3)
         assert len(payload["median_sup_errors"]) == 4
         assert payload["n_list"] == [60, 120, 240, 480]
+
+    @pytest.mark.parametrize(
+        "rate_grid,error,match",
+        [("0", "ValueError", "eval_grid_size"), ("x", "ConfigError", "rate_grid")],
+    )
+    def test_bad_rate_grid_exits_2(self, tmp_path, capsys, rate_grid, error, match):
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text(RATE_CONFIG.replace("rate_grid = 7", f"rate_grid = {rate_grid}"))
+        out_json = tmp_path / "rate.json"
+        code = main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
+                     "--workers", "1"])
+        assert code == 2
+        assert not out_json.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error
+        assert match in record["message"]
 
 
 ADAPTIVE_CONFIG = """

@@ -1,29 +1,39 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from locfront.bandwidth import AdaptiveConfig
+from locfront.bandwidth import AdaptiveConfig, simulation_bandwidth
+from locfront.estimator import EstimatorConfig, UnboundedFitError, fit_at
 from locfront.harness import (
     BandwidthRule,
     ConfigError,
     ExperimentSpec,
     build_adaptive_config,
     build_experiment_spec,
+    config_int,
     default_workers,
     evaluation_grid,
     parse_config,
     resolve_bandwidth,
     run_adaptive,
-    run_mse_center,
-    run_mse_grid,
+    run_mse,
     run_rate_study,
     write_adaptive_csv,
     write_adaptive_diagnostics_csv,
     write_result_csv,
     write_result_json,
 )
-from locfront.synthetic import ErrorSpec, ModelSpec
+from locfront.synthetic import (
+    DesignSpec,
+    ErrorSpec,
+    ModelSpec,
+    eval_boundary,
+    gen_design,
+    make_sample,
+    sample_errors,
+)
 
 
 def small_center_spec(**overrides):
@@ -75,26 +85,26 @@ class TestSpecValidation:
 class TestCenterRuns:
     def test_determinism_across_workers(self):
         spec = small_center_spec()
-        serial = run_mse_center(spec, workers=1)
-        parallel = run_mse_center(spec, workers=2)
+        serial = run_mse(spec, workers=1)
+        parallel = run_mse(spec, workers=2)
         assert serial.cells == parallel.cells
 
     def test_cell_independence(self):
-        full = run_mse_center(small_center_spec(), workers=1)
-        single = run_mse_center(
+        full = run_mse(small_center_spec(), workers=1)
+        single = run_mse(
             small_center_spec(n_list=(196,), beta_star_list=(1,)), workers=1
         )
         assert full.cells[(1, 196)] == single.cells[(1, 196)]
 
     def test_tallies_sum_to_replications(self):
-        table = run_mse_center(small_center_spec(), workers=1)
+        table = run_mse(small_center_spec(), workers=1)
         for cell in table.cells.values():
             assert cell.n_exact + cell.n_degraded + cell.n_expanded == cell.replications == 8
             assert cell.mse >= 0
 
     def test_fixed_design_supported(self):
         spec = small_center_spec(design="equidistant_grid", n_list=(100,))
-        table = run_mse_center(spec, workers=1)
+        table = run_mse(spec, workers=1)
         assert table.cells[(0, 100)].mse >= 0
 
     def test_noiseless_polynomial_boundary_recovered_exactly(self):
@@ -110,7 +120,7 @@ class TestCenterRuns:
             model=ModelSpec("cubic_1d"),
             bandwidth=BandwidthRule("fixed", h=0.2),
         )
-        table = run_mse_center(spec, workers=1)
+        table = run_mse(spec, workers=1)
         assert table.cells[(3, 40)].mse <= 1e-14
 
 
@@ -119,14 +129,14 @@ class TestGridRuns:
         spec = small_center_spec(
             evaluation="grid", grid_points_per_axis=4, replications=5, n_list=(100,)
         )
-        table = run_mse_grid(spec, workers=1)
+        table = run_mse(spec, workers=1)
         for cell in table.cells.values():
             assert cell.mse >= 0
             assert cell.n_exact + cell.n_degraded + cell.n_expanded == 5
 
     def test_single_point_grid_equals_center(self):
         base = small_center_spec(n_list=(100,), beta_star_list=(1,), replications=6)
-        center = run_mse_center(base, workers=1)
+        center = run_mse(base, workers=1)
         grid_spec = small_center_spec(
             n_list=(100,),
             beta_star_list=(1,),
@@ -134,20 +144,58 @@ class TestGridRuns:
             evaluation="grid",
             grid_points_per_axis=1,
         )
-        grid = run_mse_grid(grid_spec, workers=1)
+        grid = run_mse(grid_spec, workers=1)
         assert grid.cells == center.cells
 
     def test_determinism_across_workers(self):
         spec = small_center_spec(
             evaluation="grid", grid_points_per_axis=3, replications=6, n_list=(100,)
         )
-        assert run_mse_grid(spec, workers=1).cells == run_mse_grid(spec, workers=2).cells
+        assert run_mse(spec, workers=1).cells == run_mse(spec, workers=2).cells
 
-    def test_wrong_evaluation_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_mse_grid(small_center_spec(), workers=1)
-        with pytest.raises(ValueError):
-            run_mse_center(small_center_spec(evaluation="grid"), workers=1)
+    def test_cell_recomputed_from_public_pieces(self):
+        # pins the seeding contract and the left-to-right reduction order: a
+        # pairwise (np.mean) reducer moves the last bits
+        beta_star, n = 1, 100
+        spec = small_center_spec(
+            evaluation="grid", grid_points_per_axis=5, replications=1,
+            n_list=(n,), beta_star_list=(beta_star,),
+        )
+        rng = np.random.default_rng([spec.master_seed, beta_star, n, 0])
+        points = gen_design(DesignSpec(spec.design, spec.q, n), rng)
+        data = make_sample(points, spec.model, sample_errors(spec.error, n, rng))
+        cfg = EstimatorConfig(
+            beta_star=beta_star,
+            h=simulation_bandwidth(n, spec.q, beta_star),
+            fallback=spec.fallback,
+            empty_window=spec.empty_window,
+        )
+        grid = evaluation_grid(spec.q, 5)
+        total = 0.0
+        for point, truth in zip(grid, eval_boundary(spec.model, grid)):
+            total += (fit_at(data, point, cfg).value - truth) ** 2
+        assert run_mse(spec, workers=1).cells[(beta_star, n)].mse == total / len(grid)
+
+
+class TestFailureLabels:
+    def test_failing_replication_names_its_cell(self):
+        # three points cannot bound a cubic fit, and fallback="error" forbids
+        # degrading it
+        spec = ExperimentSpec(
+            q=1,
+            n_list=(3, 4, 5, 6),
+            beta_star_list=(3,),
+            replications=2,
+            master_seed=8,
+            bandwidth=BandwidthRule("fixed", h=0.3),
+            fallback="error",
+        )
+        label = r"^cell \(beta_star=3, n=3\): "
+        with pytest.raises(UnboundedFitError, match=label):
+            run_mse(spec, workers=1)
+        balanced = BandwidthRule("balanced", alpha=1.0, beta=2.0)
+        with pytest.raises(UnboundedFitError, match=label):
+            run_rate_study(replace(spec, bandwidth=balanced), workers=1)
 
 
 class TestEvaluationGrid:
@@ -189,6 +237,8 @@ class TestRateStudy:
                     bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0),
                 )
             )
+        with pytest.raises(ValueError, match="eval_grid_size"):
+            run_rate_study(spec, eval_grid_size=0, workers=1)
         result = run_rate_study(spec, eval_grid_size=9, workers=1)
         assert result.expected_slope == pytest.approx(-2.0 / 3.0)
         assert len(result.median_sup_errors) == 4
@@ -239,7 +289,7 @@ class TestAdaptiveRuns:
 class TestOutputs:
     def test_csv_and_json(self, tmp_path):
         spec = small_center_spec(replications=3)
-        table = run_mse_center(spec, workers=1)
+        table = run_mse(spec, workers=1)
         csv_path = tmp_path / "results.csv"
         write_result_csv(table, csv_path)
         lines = csv_path.read_text().strip().splitlines()
@@ -313,6 +363,8 @@ class TestConfigParsing:
             ({"bandwidth": "tiny"}, "bandwidth"),
             ({"evaluation": "grid:x"}, "grid size"),
             ({"model": "quartic"}, "model"),
+            ({"adaptive_grid": "5.5"}, "adaptive_grid"),
+            ({"rate_grid": "x"}, "rate_grid"),
         ],
     )
     def test_build_errors(self, overrides, match):
@@ -325,7 +377,9 @@ class TestConfigParsing:
         }
         base.update(overrides)
         with pytest.raises(ConfigError, match=match):
-            build_experiment_spec(base)
+            spec = build_experiment_spec(base)
+            build_adaptive_config(base, spec.q)
+            config_int(base, "rate_grid", 33)
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing required"):
