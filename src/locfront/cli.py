@@ -129,7 +129,10 @@ def _cmd_fit(args) -> int:
     if args.grid is not None and args.point:
         raise ConfigError("give either --point(s) or --grid, not both")
     if args.grid is not None:
-        points = harness.evaluation_grid(data.q, args.grid)
+        try:
+            points = harness.evaluation_grid(data.q, args.grid)
+        except ValueError as err:
+            raise ConfigError(f"--grid: {err}") from None
     elif args.point:
         points = []
         for raw in args.point:

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import lp
 from .basis import PolyCoeffs, enumerate_basis, vandermonde
-from .windows import clip_window, contains_mask, objective_vector
+from .windows import WindowIndex, clip_window, objective_vector, window_rows
 
 
 class EmptyWindowError(ValueError):
@@ -47,14 +48,19 @@ _EMPTY_POLICIES = ("error", "expand")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Covariate points in the unit cube with scalar responses."""
+    """Covariate points in the unit cube with scalar responses.
+
+    The dataset holds its own read-only copies of both arrays, so the window
+    index built from ``points`` on the first window query stays valid; each
+    later query costs O(log n + slab) rather than a scan of all n points.
+    """
 
     points: np.ndarray
     responses: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        y = np.asarray(self.responses, dtype=float).ravel()
+        pts = np.array(np.atleast_2d(self.points), dtype=float)
+        y = np.array(np.ravel(self.responses), dtype=float)
         if pts.shape[0] != y.shape[0]:
             raise ValueError(
                 f"{pts.shape[0]} points but {y.shape[0]} responses"
@@ -63,8 +69,20 @@ class Dataset:
             raise ValueError("dataset must hold at least one observation")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise ValueError("covariate points must lie in [0,1]^q")
+        pts.setflags(write=False)
+        y.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "responses", y)
+
+    def __reduce__(self):
+        # unpickled and copied datasets go through __post_init__ again, so
+        # their arrays are read-only too and their index is built afresh
+        return (Dataset, (self.points, self.responses))
+
+    @cached_property
+    def index(self) -> WindowIndex:
+        """Window index over ``points``, built on first use."""
+        return WindowIndex(self.points)
 
     @property
     def n(self) -> int:
@@ -144,23 +162,23 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
 
     h_eff = float(cfg.h)
     window = clip_window(xv, h_eff)
-    mask = contains_mask(window, data.points)
+    rows = window_rows(window, data.index)
     expanded = False
-    if not mask.any():
+    if rows.size == 0:
         if cfg.empty_window == "error":
             raise EmptyWindowError(
                 f"no data within bandwidth {cfg.h} of {xv.tolist()}"
             )
         # h >= 1 covers the whole cube, so this terminates for nonempty data
-        while not mask.any():
+        while rows.size == 0:
             h_eff *= cfg.expand_factor
             window = clip_window(xv, h_eff)
-            mask = contains_mask(window, data.points)
+            rows = window_rows(window, data.index)
         expanded = True
 
-    pts = data.points[mask]
-    y = data.responses[mask]
-    n_active = int(mask.sum())
+    pts = data.points[rows]
+    y = data.responses[rows]
+    n_active = int(rows.size)
 
     full_basis = enumerate_basis(data.q, cfg.beta_star)
     A_full = vandermonde(full_basis, pts, xv)
@@ -206,11 +224,10 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
 def fit_local_constant(data: Dataset, x, h: float) -> float:
     """Maximum response inside the clipped window; no LP involved."""
     xv = np.asarray(x, dtype=float).ravel()
-    window = clip_window(xv, h)
-    mask = contains_mask(window, data.points)
-    if not mask.any():
+    rows = window_rows(clip_window(xv, h), data.index)
+    if rows.size == 0:
         raise EmptyWindowError(f"no data within bandwidth {h} of {xv.tolist()}")
-    return float(data.responses[mask].max())
+    return float(data.responses[rows].max())
 
 
 def fit_grid(data: Dataset, grid, cfg: EstimatorConfig) -> list[FitResult]:

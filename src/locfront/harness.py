@@ -187,8 +187,13 @@ def evaluation_grid(q: int, points_per_axis: int) -> np.ndarray:
     """Equidistant lattice on [0,1]^q including the boundary, (N^q, q).
 
     A single point per axis collapses to the cube center, so a one-point grid
-    evaluation coincides with the center-point evaluation.
+    evaluation coincides with the center-point evaluation. Fewer than one
+    point per axis raises ValueError.
     """
+    if points_per_axis < 1:
+        raise ValueError(
+            f"evaluation grid needs at least 1 point per axis, got {points_per_axis}"
+        )
     if points_per_axis == 1:
         return np.full((1, q), 0.5)
     axis = np.linspace(0.0, 1.0, points_per_axis)
@@ -453,6 +458,16 @@ def config_int(cfg: dict[str, str], key: str, default: int | None = None) -> int
         raise ConfigError(f"{key}: expected an integer, got {cfg[key]!r}") from err
 
 
+def config_float(cfg: dict[str, str], key: str, default: float) -> float:
+    """Float value of ``key``, or ``default`` when the key is absent."""
+    if key not in cfg:
+        return default
+    try:
+        return float(cfg[key])
+    except ValueError as err:
+        raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from err
+
+
 def _int_list(value: str, key: str) -> tuple[int, ...]:
     try:
         return tuple(int(part.strip()) for part in value.split(","))
@@ -543,9 +558,9 @@ def build_adaptive_config(cfg: dict[str, str], q: int) -> AdaptiveConfig:
     try:
         return AdaptiveConfig(
             grid=evaluation_grid(q, grid_n),
-            s=float(cfg.get("adaptive_s", "0.5")),
-            rho=float(cfg.get("adaptive_rho", "1.25")),
-            threshold_constant=float(cfg.get("adaptive_constant", "1.0")),
+            s=config_float(cfg, "adaptive_s", 0.5),
+            rho=config_float(cfg, "adaptive_rho", 1.25),
+            threshold_constant=config_float(cfg, "adaptive_constant", 1.0),
             hill_order=config_int(cfg, "adaptive_hill_order"),
         )
     except ValueError as err:

@@ -3,11 +3,18 @@
 A window is the max-norm ball of radius h around a point x, intersected with
 [0,1]^q. The integral of any shifted monomial over that box factorizes per
 axis, which gives the LP objective vector in closed form.
+
+``contains_mask`` is the one membership test. ``window_rows`` answers a
+window query on a read-only point array through a ``WindowIndex`` (the rows
+sorted on the first coordinate, built once per array): a binary search cuts
+the slab of rows whose first coordinate can lie in the window, and only that
+slab goes through ``contains_mask``. A query costs O(log n + slab) instead of
+O(n) and returns exactly the rows a full-array mask selects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +66,44 @@ def contains_mask(w: Window, points: np.ndarray) -> np.ndarray:
     if pts.shape[1] != w.q:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {w.q}")
     return np.max(np.abs(pts - w.center[None, :]), axis=1) <= w.bandwidth
+
+
+@dataclass(frozen=True)
+class WindowIndex:
+    """Rows of a read-only (n, q) point array sorted on the first coordinate.
+
+    The index stays valid only while ``points`` is unchanged, which a
+    read-only array owned by its holder guarantees.
+    """
+
+    points: np.ndarray
+    order: np.ndarray = field(init=False)  # row numbers by ascending first coordinate
+    keys: np.ndarray = field(init=False)  # points[order, 0]
+
+    def __post_init__(self):
+        order = np.argsort(self.points[:, 0])
+        keys = self.points[order, 0]
+        order.setflags(write=False)
+        keys.setflags(write=False)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "keys", keys)
+
+
+def window_rows(w: Window, index: WindowIndex) -> np.ndarray:
+    """Ascending row numbers of the indexed points inside ``w``.
+
+    Equal to ``np.flatnonzero(contains_mask(w, index.points))``. The slab
+    [c0 - h, c0 + h] on the first coordinate is widened by a few ulps, more
+    than the rounding of both its ends and of the test's ``p - c``, so it holds
+    every member; ``contains_mask`` on the slab then decides membership by the
+    same float expression as a full scan.
+    """
+    c0, h = float(w.center[0]), w.bandwidth
+    pad = 4.0 * np.finfo(float).eps * (abs(c0) + h)
+    lo = np.searchsorted(index.keys, c0 - h - pad, side="left")
+    hi = np.searchsorted(index.keys, c0 + h + pad, side="right")
+    slab = index.order[lo:hi]
+    return np.sort(slab[contains_mask(w, index.points[slab])])
 
 
 def _axis_integrals(w: Window, max_degree: int) -> np.ndarray:

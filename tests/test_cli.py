@@ -71,6 +71,20 @@ class TestFitCommand:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_grid_below_one_exits_2(self, dataset_file, tmp_path, capsys, grid):
+        path, _ = dataset_file
+        out = tmp_path / "fits.csv"
+        code = main(["fit", str(path), "--grid", grid, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        record = json.loads(captured.err)
+        assert record["error"] == "ConfigError"
+        assert "--grid" in record["message"]
+        assert f"got {grid}" in record["message"]
+
     def test_missing_point_and_grid(self, dataset_file, capsys):
         path, _ = dataset_file
         assert main(["fit", str(path)]) == 2

@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from locfront.basis import eval_poly
+from locfront import lp
+from locfront.basis import enumerate_basis, eval_poly, vandermonde
 from locfront.estimator import (
     Dataset,
     DatasetFormatError,
@@ -221,6 +224,74 @@ class TestDatasetValidation:
     def test_empty(self):
         with pytest.raises(ValueError):
             Dataset(np.empty((0, 1)), np.empty(0))
+
+    def test_owns_its_arrays(self):
+        rng = np.random.default_rng(45)
+        x = rng.uniform(0, 1, (200, 2))
+        y = rng.uniform(0, 1, 200)
+        ds = Dataset(x, y)
+        cfg = EstimatorConfig(beta_star=1, h=0.2)
+        before = fit_at(ds, [0.4, 0.6], cfg)  # builds the window index
+        x[:, 0] = x[::-1, 0]
+        y += 10.0
+        assert_same_fit(fit_at(ds, [0.4, 0.6], cfg), before)
+
+    def test_arrays_are_read_only(self):
+        ds = Dataset(np.array([[0.2, 0.3], [0.6, 0.7]]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            ds.points[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            ds.responses[0] = 0.5
+
+    def test_pickled_copy_is_read_only(self):
+        ds = Dataset(np.array([[0.2, 0.3], [0.6, 0.7]]), np.array([1.0, 2.0]))
+        cfg = EstimatorConfig(beta_star=0, h=0.5)
+        before = fit_at(ds, [0.4, 0.5], cfg)
+        copy = pickle.loads(pickle.dumps(ds))
+        assert not copy.points.flags.writeable
+        assert not copy.responses.flags.writeable
+        assert_same_fit(fit_at(copy, [0.4, 0.5], cfg), before)
+
+
+def full_mask_fit(ds, x, cfg):
+    """fit_at's recipe with the window rows taken from a full-array mask:
+    (value, n_active, effective_bandwidth, effective_degree)."""
+    h = cfg.h
+    mask = contains_mask(clip_window(x, h), ds.points)
+    while not mask.any():
+        h *= cfg.expand_factor
+        mask = contains_mask(clip_window(x, h), ds.points)
+    pts, y = ds.points[mask], ds.responses[mask]
+    full_basis = enumerate_basis(ds.q, cfg.beta_star)
+    A = vandermonde(full_basis, pts, x)
+    v = objective_vector(clip_window(x, h), full_basis)
+    shift = float(y.max())
+    for degree in range(cfg.beta_star, -1, -1):
+        p = len(enumerate_basis(ds.q, degree))
+        outcome = lp.solve(lp.LpProblem(v[:p], A[:, :p], y - shift))
+        if isinstance(outcome, lp.Optimal):
+            return outcome.solution[0] + shift, int(mask.sum()), h, degree
+    raise AssertionError("degree 0 must be bounded")
+
+
+class TestWindowIndex:
+    def test_fit_grid_matches_full_mask_lps(self):
+        rng = np.random.default_rng(46)
+        pts = rng.uniform(0, 1, (3000, 2))
+        pts = pts[~np.all(pts < 0.3, axis=1)]  # an empty corner forces expansion
+        s = pts.sum(axis=1)
+        ds = Dataset(pts, 0.5 * np.sin(2 * np.pi * s) + 4 * s - rng.exponential(1.0, len(pts)))
+        cfg = EstimatorConfig(beta_star=1, h=0.03, empty_window="expand")
+        axis = np.linspace(0.0, 1.0, 9)
+        grid = np.array([(a, b) for b in axis for a in axis])
+        fits = fit_grid(ds, grid, cfg)
+        assert {fit.status for fit in fits} == {"exact", "expanded", "degraded"}
+        for x, fit in zip(grid, fits):
+            value, n_active, h_eff, degree = full_mask_fit(ds, x, cfg)
+            assert fit.value == value
+            assert fit.n_active == n_active
+            assert fit.effective_bandwidth == h_eff
+            assert fit.effective_degree == degree
 
 
 class TestConfigValidation:

@@ -209,6 +209,11 @@ class TestEvaluationGrid:
         grid = evaluation_grid(3, 1)
         assert grid.tolist() == [[0.5, 0.5, 0.5]]
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_fewer_than_one_point_rejected(self, k):
+        with pytest.raises(ValueError, match=f"got {k}"):
+            evaluation_grid(2, k)
+
 
 class TestRateStudy:
     def test_validations(self):
@@ -365,6 +370,9 @@ class TestConfigParsing:
             ({"model": "quartic"}, "model"),
             ({"adaptive_grid": "5.5"}, "adaptive_grid"),
             ({"rate_grid": "x"}, "rate_grid"),
+            ({"adaptive_s": "x"}, "adaptive_s"),
+            ({"adaptive_rho": "x"}, "adaptive_rho"),
+            ({"adaptive_constant": "x"}, "adaptive_constant"),
         ],
     )
     def test_build_errors(self, overrides, match):
