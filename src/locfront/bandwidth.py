@@ -2,16 +2,15 @@
 
 The ladder rule compares fits along a geometric bandwidth sequence and stops
 at the first pair whose sup-distance over an evaluation grid exceeds the sum
-of their thresholds. Thresholds are pluggable; the default scales like
-(log n / (n h^q))^(1/alpha) with alpha estimated from pilot residuals by a
-Hill-type estimator at the lower endpoint.
+of their thresholds. The thresholds scale like (log n / (n h^q))^(1/alpha)
+with alpha estimated from pilot residuals by a Hill-type estimator at the
+lower endpoint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,8 +32,8 @@ def balanced_bandwidth(n: int, q: int, alpha: float, beta: float) -> float:
     """
     if n < 3:
         raise ValueError("need n >= 3 so that log(n) > 1")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
+    if not (alpha > 0 and beta > 0):
+        raise ValueError(f"alpha and beta must be positive, got {alpha}, {beta}")
     return min(1.0, (math.log(n) / n) ** (1.0 / (alpha * beta + q)))
 
 
@@ -68,8 +67,7 @@ class AdaptiveConfig:
     """Knobs of the ladder selection rule.
 
     ``grid`` is the evaluation grid the fits are compared on, shape
-    (n_grid, q). ``threshold_fn`` maps a ladder index k to its threshold; when
-    None, thresholds default to
+    (n_grid, q). The threshold of ladder index k is
     ``threshold_constant * (log n / (n h_k^q))**(1/alpha_hat)`` with alpha_hat
     from ``hill_tail_index`` on local-constant pilot residuals.
     """
@@ -77,19 +75,18 @@ class AdaptiveConfig:
     grid: np.ndarray
     s: float = 0.5
     rho: float = 1.25
-    threshold_fn: Callable[[int], float] | None = None
     threshold_constant: float = 1.0
     hill_order: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise ValueError("s must lie in (0, 1)")
-        if self.rho <= 1.0:
-            raise ValueError("rho must exceed 1")
+        if not self.rho > 1.0:
+            raise ValueError(f"rho must exceed 1, got {self.rho}")
         grid = np.atleast_2d(np.asarray(self.grid, dtype=float))
         if grid.shape[0] < 1:
             raise ValueError("evaluation grid must be nonempty")
-        if self.threshold_constant <= 0:
+        if not self.threshold_constant > 0:
             raise ValueError("threshold_constant must be positive")
         object.__setattr__(self, "grid", grid)
 
@@ -104,7 +101,7 @@ class AdaptiveResult:
     thresholds: np.ndarray
     grid_estimates: np.ndarray
     trigger: tuple[int, int] | None
-    alpha_hat: float | None
+    alpha_hat: float
 
     @property
     def ladder_top(self) -> int:
@@ -215,14 +212,10 @@ def adaptive_bandwidth(
         except (ValueError, RuntimeError) as err:
             raise type(err)(f"ladder rung k={k} (h={capped[k]:.4g}): {err}") from err
 
-    alpha_hat: float | None = None
-    if cfg.threshold_fn is not None:
-        thresholds = np.array([float(cfg.threshold_fn(k)) for k in range(K + 2)])
-    else:
-        alpha_hat = _pilot_alpha(data, cfg)
-        thresholds = cfg.threshold_constant * (
-            math.log(n) / (n * capped ** data.q)
-        ) ** (1.0 / alpha_hat)
+    alpha_hat = _pilot_alpha(data, cfg)
+    thresholds = cfg.threshold_constant * (
+        math.log(n) / (n * capped ** data.q)
+    ) ** (1.0 / alpha_hat)
 
     k_hat, trigger = select_bandwidth_index(estimates, thresholds)
     return AdaptiveResult(

@@ -20,6 +20,7 @@ a constant shift of the responses.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,20 +40,23 @@ class UnboundedFitError(RuntimeError):
 
 
 class DatasetFormatError(ValueError):
-    """Malformed dataset file (bad header, field count, or out-of-cube value)."""
+    """Malformed dataset file (bad header, field count, or out-of-range value)."""
 
 
 _FALLBACKS = ("error", "degrade_degree")
 _EMPTY_POLICIES = ("error", "expand")
+_EXPAND_FACTOR = 1.5  # bandwidth growth per step of the empty-window policy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Covariate points in the unit cube with scalar responses.
 
     The dataset holds its own read-only copies of both arrays, so the window
     index built from ``points`` on the first window query stays valid; each
     later query costs O(log n + slab) rather than a scan of all n points.
+    Points must lie in [0,1]^q and responses must be finite. Datasets compare
+    and hash by identity.
     """
 
     points: np.ndarray
@@ -67,8 +71,11 @@ class Dataset:
             )
         if pts.shape[0] < 1:
             raise ValueError("dataset must hold at least one observation")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
+        # min and max carry a NaN through, and it fails both comparisons
+        if not (pts.min() >= 0.0 and pts.max() <= 1.0):
             raise ValueError("covariate points must lie in [0,1]^q")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("responses must be finite")
         pts.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -101,19 +108,16 @@ class EstimatorConfig:
     h: float
     fallback: str = "degrade_degree"
     empty_window: str = "error"
-    expand_factor: float = 1.5
 
     def __post_init__(self):
         if self.beta_star < 0:
             raise ValueError("beta_star must be >= 0")
-        if self.h <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not self.h > 0:
+            raise ValueError(f"bandwidth must be positive, got {self.h}")
         if self.fallback not in _FALLBACKS:
             raise ValueError(f"fallback must be one of {_FALLBACKS}")
         if self.empty_window not in _EMPTY_POLICIES:
             raise ValueError(f"empty_window must be one of {_EMPTY_POLICIES}")
-        if self.expand_factor <= 1.0:
-            raise ValueError("expand_factor must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,7 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
             )
         # h >= 1 covers the whole cube, so this terminates for nonempty data
         while rows.size == 0:
-            h_eff *= cfg.expand_factor
+            h_eff *= _EXPAND_FACTOR
             window = clip_window(xv, h_eff)
             rows = window_rows(window, data.index)
         expanded = True
@@ -247,8 +251,8 @@ def fit_grid(data: Dataset, grid, cfg: EstimatorConfig) -> list[FitResult]:
 def load_dataset(path) -> Dataset:
     """Read a dataset from CSV with header x1,...,xq,y.
 
-    Any coordinate outside [0,1] or malformed row is rejected with the line
-    number in the message.
+    Any coordinate outside [0,1], non-finite response or malformed row is
+    rejected with the line number in the message.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -282,6 +286,10 @@ def load_dataset(path) -> Dataset:
                     raise DatasetFormatError(
                         f"{path}: line {lineno}: x{r + 1}={val} outside [0,1]"
                     )
+            if not math.isfinite(values[q]):
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: y={values[q]} is not finite"
+                )
             points.append(values[:q])
             responses.append(values[q])
         if not points:

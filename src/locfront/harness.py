@@ -72,7 +72,7 @@ class BandwidthRule:
         if self.kind == "balanced":
             if self.alpha is None or self.beta is None:
                 raise ValueError("balanced rule needs alpha and beta")
-            if self.alpha <= 0 or self.beta <= 0:
+            if not (self.alpha > 0 and self.beta > 0):
                 raise ValueError("balanced rule needs positive alpha and beta")
 
 
@@ -398,10 +398,10 @@ def write_adaptive_csv(runs: list[AdaptiveRun], path) -> None:
         fh.write("n,replication,k_hat,h_selected,alpha_hat,trigger_k,trigger_l\n")
         for run in runs:
             res = run.result
-            alpha = "" if res.alpha_hat is None else repr(res.alpha_hat)
             tk, tl = ("", "") if res.trigger is None else res.trigger
             fh.write(
-                f"{run.n},{run.replication},{res.k_hat},{res.h_selected!r},{alpha},{tk},{tl}\n"
+                f"{run.n},{run.replication},{res.k_hat},{res.h_selected!r},"
+                f"{res.alpha_hat!r},{tk},{tl}\n"
             )
 
 

@@ -260,16 +260,14 @@ def solve(prob: LpProblem, max_iter: int | None = None) -> LpOutcome:
     return Optimal(solution=b, objective_value=float(prob.objective @ b))
 
 
-def check_bounded(
-    prob: LpProblem, max_iter: int | None = None
-) -> BoundednessCertificate | None:
+def check_bounded(prob: LpProblem) -> BoundednessCertificate | None:
     """Certificate g >= 0 with A^T g = v, or None when no such g exists.
 
     This is phase 1 of ``solve``: no certificate means ``solve`` reports
     Unbounded.
     """
     s = _Scaled.of(prob)
-    start = _phase1(s, _pivot_budget(prob, max_iter))
+    start = _phase1(s, _pivot_budget(prob, None))
     if start is None:
         return None
     T, basis, _ = start

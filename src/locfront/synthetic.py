@@ -1,6 +1,6 @@
 """Data generators for boundary-regression experiments.
 
-Designs (uniform random, equidistant lattice, user-supplied), boundary
+Designs (uniform random, equidistant lattice), the built-in boundary
 functions, and one-sided error laws whose survival near zero behaves like
 c|y|^alpha. All error specs emit nonpositive values so that samples satisfy
 Y_i = g(X_i) + eps_i <= g(X_i) under a single sign convention.
@@ -8,17 +8,15 @@ Y_i = g(X_i) + eps_i <= g(X_i) under a single sign convention.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .estimator import Dataset
 
-_DESIGN_KINDS = ("random_uniform", "equidistant_grid", "custom_fixed")
+_DESIGN_KINDS = ("random_uniform", "equidistant_grid")
 _ERROR_KINDS = ("exponential_unit", "weibull", "zero")
-_MODEL_IDS = ("sine_sum", "cubic_1d", "custom")
+_MODEL_IDS = ("sine_sum", "cubic_1d")
 
 
 @dataclass(frozen=True)
@@ -26,7 +24,6 @@ class DesignSpec:
     kind: str
     q: int
     n: int
-    points: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in _DESIGN_KINDS:
@@ -39,15 +36,6 @@ class DesignSpec:
                 raise ValueError(
                     f"equidistant grid needs n^(1/q) integer; n={self.n}, q={self.q}"
                 )
-        if self.kind == "custom_fixed":
-            pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-            if pts.shape != (self.n, self.q):
-                raise ValueError(
-                    f"custom points have shape {pts.shape}, expected ({self.n}, {self.q})"
-                )
-            if np.any(pts < 0.0) or np.any(pts > 1.0):
-                raise ValueError("custom design points must lie in [0,1]^q")
-            object.__setattr__(self, "points", pts)
 
 
 @dataclass(frozen=True)
@@ -66,8 +54,8 @@ class ErrorSpec:
     def __post_init__(self):
         if self.kind not in _ERROR_KINDS:
             raise ValueError(f"error kind must be one of {_ERROR_KINDS}")
-        if self.kind == "weibull" and self.alpha <= 0:
-            raise ValueError("weibull shape must be positive")
+        if self.kind == "weibull" and not self.alpha > 0:
+            raise ValueError(f"weibull shape must be positive, got {self.alpha}")
         if self.kind == "exponential_unit":
             object.__setattr__(self, "alpha", 1.0)
 
@@ -81,16 +69,13 @@ class ErrorSpec:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Boundary function: a named built-in or a user callable on cube points."""
+    """Boundary function, named by one of the built-in ids."""
 
     g_id: str
-    func: Callable | None = None
 
     def __post_init__(self):
         if self.g_id not in _MODEL_IDS:
             raise ValueError(f"model must be one of {_MODEL_IDS}")
-        if self.g_id == "custom" and self.func is None:
-            raise ValueError("custom model needs a callable")
 
 
 def gen_design(spec: DesignSpec, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -98,19 +83,17 @@ def gen_design(spec: DesignSpec, rng: np.random.Generator | None = None) -> np.n
 
     random_uniform draws iid uniforms from ``rng``; equidistant_grid is the
     lattice {(i_1/m, ..., i_q/m) : i_r in 1..m} with m = n^(1/q) and is
-    independent of ``rng``; custom_fixed passes the validated points through.
+    independent of ``rng``.
     """
     if spec.kind == "random_uniform":
         if rng is None:
             raise ValueError("random_uniform design needs an rng")
         return rng.uniform(0.0, 1.0, size=(spec.n, spec.q))
-    if spec.kind == "equidistant_grid":
-        m = round(spec.n ** (1.0 / spec.q))
-        axis = np.arange(1, m + 1) / m
-        mesh = np.meshgrid(*([axis] * spec.q), indexing="ij")
-        # first coordinate varies fastest
-        return np.stack([g.ravel(order="F") for g in mesh], axis=1)
-    return spec.points.copy()
+    m = round(spec.n ** (1.0 / spec.q))
+    axis = np.arange(1, m + 1) / m
+    mesh = np.meshgrid(*([axis] * spec.q), indexing="ij")
+    # first coordinate varies fastest
+    return np.stack([g.ravel(order="F") for g in mesh], axis=1)
 
 
 def sample_errors(spec: ErrorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,12 +115,10 @@ def eval_boundary(spec: ModelSpec, x):
     if spec.g_id == "sine_sum":
         s = pts.sum(axis=1)
         out = 0.5 * np.sin(2.0 * np.pi * s) + 4.0 * s
-    elif spec.g_id == "cubic_1d":
+    else:
         if pts.shape[1] != 1:
             raise ValueError("cubic_1d is a univariate boundary")
         out = (pts[:, 0] - 0.5) ** 3 + 2.0
-    else:
-        out = np.array([float(spec.func(p)) for p in pts])
     return float(out[0]) if single else out
 
 
@@ -162,10 +143,10 @@ def verify_design_density(points, h: float, d: float) -> int:
     Returns the minimum count; the edge d*h must lie in (0, 1].
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("points must lie in [0,1]^q")
     edge = d * h
-    if edge <= 0.0:
+    if not edge > 0.0:
         raise ValueError(f"cube edge d*h must be positive, got {edge}")
     if edge > 1.0 + 1e-12:
         raise ValueError(f"cube edge d*h must be <= 1, got {edge}")
@@ -185,23 +166,9 @@ def verify_design_density(points, h: float, d: float) -> int:
         & (pts[:, r][None, :] <= corners[:, None] + edge + eps)
         for r in range(q)
     ]
-    if q == 1:
-        counts = member[0].sum(axis=1)
-    elif q == 2:
-        counts = member[0].astype(np.int64) @ member[1].T.astype(np.int64)
-    elif q == 3:
-        counts = np.einsum(
-            "ai,bi,ci->abc",
-            member[0].astype(np.int64),
-            member[1].astype(np.int64),
-            member[2].astype(np.int64),
-        )
-    else:
-        best = pts.shape[0]
-        for combo in itertools.product(range(corners.size), repeat=q):
-            inside = np.ones(pts.shape[0], dtype=bool)
-            for r, c in enumerate(combo):
-                inside &= member[r][c]
-            best = min(best, int(inside.sum()))
-        return best
+    # counts[c_1, ..., c_q] = sum_i prod_r member[r][c_r, i], label q being i
+    operands = []
+    for r in range(q):
+        operands += [member[r].astype(np.int64), [r, q]]
+    counts = np.einsum(*operands, list(range(q)))
     return int(counts.min())

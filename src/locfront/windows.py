@@ -42,15 +42,15 @@ class Window:
 def clip_window(x, h: float) -> Window:
     """Window of half-edge h around x, clipped to [0,1]^q.
 
-    Raises ValueError if x lies outside the unit cube or h <= 0. A bandwidth
-    h >= 1 yields the whole cube.
+    Raises ValueError unless x lies in the unit cube and h > 0, so NaN fails
+    both. A bandwidth h >= 1 yields the whole cube.
     """
     xv = np.asarray(x, dtype=float)
     if xv.ndim == 0:
         xv = xv.reshape(1)
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    if np.any(xv < 0) or np.any(xv > 1):
+    if not np.all((xv >= 0) & (xv <= 1)):
         raise ValueError(f"window center {xv.tolist()} outside the unit cube")
     lower = np.maximum(xv - h, 0.0)
     upper = np.minimum(xv + h, 1.0)

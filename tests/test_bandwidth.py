@@ -55,6 +55,10 @@ class TestBalancedBandwidth:
             balanced_bandwidth(2, 1, 1.0, 1.0)
         with pytest.raises(ValueError):
             balanced_bandwidth(100, 1, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            balanced_bandwidth(100, 1, float("nan"), 1.0)
+        with pytest.raises(ValueError):
+            balanced_bandwidth(100, 1, 1.0, float("nan"))
 
 
 class TestHill:
@@ -168,15 +172,14 @@ class TestAdaptiveBandwidth:
 
     def test_infinite_thresholds_select_top_rung(self):
         data = sine_data(200, seed=3)
-        cfg = AdaptiveConfig(grid=self.grid(7), threshold_fn=lambda k: float("inf"))
+        cfg = AdaptiveConfig(grid=self.grid(7), threshold_constant=float("inf"))
         res = adaptive_bandwidth(data, 0, cfg)
         assert res.k_hat == res.ladder_top
         assert res.trigger is None
-        assert res.alpha_hat is None
 
     def test_zero_thresholds_select_bottom(self):
         data = sine_data(200, seed=4)
-        cfg = AdaptiveConfig(grid=self.grid(7), threshold_fn=lambda k: 0.0)
+        cfg = AdaptiveConfig(grid=self.grid(7), threshold_constant=1e-300)
         res = adaptive_bandwidth(data, 0, cfg)
         # consecutive local-constant fits differ somewhere on the grid
         assert res.k_hat == 0
@@ -184,11 +187,11 @@ class TestAdaptiveBandwidth:
 
     def test_diagnostics_rows(self):
         data = sine_data(150, seed=5)
-        cfg = AdaptiveConfig(grid=self.grid(5), threshold_fn=lambda k: 1.0 + k)
+        cfg = AdaptiveConfig(grid=self.grid(5))
         res = adaptive_bandwidth(data, 0, cfg)
         rows = res.diagnostics_rows()
         assert len(rows) == res.bandwidths.shape[0]
-        assert rows[0]["zeta_k"] == 1.0
+        assert [row["zeta_k"] for row in rows] == res.thresholds.tolist()
         assert math.isnan(rows[-1]["max_delta_next"])
         for row in rows[:-1]:
             assert row["max_delta_next"] >= 0.0
@@ -198,6 +201,10 @@ class TestAdaptiveBandwidth:
             AdaptiveConfig(grid=self.grid(), s=1.0)
         with pytest.raises(ValueError):
             AdaptiveConfig(grid=self.grid(), rho=1.0)
+        with pytest.raises(ValueError):
+            AdaptiveConfig(grid=self.grid(), rho=float("nan"))
+        with pytest.raises(ValueError):
+            AdaptiveConfig(grid=self.grid(), threshold_constant=float("nan"))
         with pytest.raises(ValueError):
             AdaptiveConfig(grid=np.empty((0, 1)))
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import locfront
 from locfront.cli import main
 from locfront.estimator import EstimatorConfig, fit_at, save_dataset
 from locfront.harness import (
@@ -98,9 +103,40 @@ class TestFitCommand:
         assert record["error"] == "DatasetFormatError"
         assert "line 2" in record["message"]
 
+    def test_non_finite_response_is_reported(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x1,y\n0.5,inf\n")
+        out = tmp_path / "fits.csv"
+        code = main(["fit", str(bad), "--point", "0.5", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "DatasetFormatError"
+        assert "line 2" in record["message"]
+
     def test_bad_bandwidth_string(self, dataset_file, capsys):
         path, _ = dataset_file
         assert main(["fit", str(path), "--point", "0.5", "--bandwidth", "huge"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--point", "0.5", "--bandwidth", "nan"], ["--point", "nan", "--bandwidth", "0.3"]],
+        ids=["bandwidth", "point"],
+    )
+    def test_nan_bandwidth_or_point_exits_2(self, dataset_file, tmp_path, args):
+        # a NaN that slips past validation loops forever in the empty-window
+        # expansion, so run in a child process that a timeout can stop
+        path, _ = dataset_file
+        out = tmp_path / "fits.csv"
+        src = str(Path(locfront.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "locfront.cli", "fit", str(path), *args, "--out", str(out)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2
+        assert not out.exists()
+        assert json.loads(proc.stderr)["error"] == "ValueError"
 
 
 class TestSimulateCommand:
@@ -184,6 +220,16 @@ class TestRateStudyCommand:
         assert record["error"] == error
         assert match in record["message"]
 
+    def test_nan_balanced_parameter_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text(RATE_CONFIG.replace("balanced:1,2", "balanced:nan,2"))
+        out_json = tmp_path / "rate.json"
+        code = main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
+                     "--workers", "1"])
+        assert code == 2
+        assert not out_json.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
 
 ADAPTIVE_CONFIG = """
 q = 1
@@ -213,3 +259,16 @@ class TestAdaptiveCommand:
         assert diag_files == ["ladder_n120_r0.csv", "ladder_n120_r1.csv"]
         first = (diag_dir / diag_files[0]).read_text().splitlines()
         assert first[0] == "k,h_k,zeta_k,max_delta_next"
+
+    @pytest.mark.parametrize(
+        "line", ["adaptive_constant = nan", "adaptive_rho = nan"]
+    )
+    def test_nan_ladder_parameter_exits_2(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "adapt.cfg"
+        cfg_path.write_text(ADAPTIVE_CONFIG.replace("adaptive_rho = 1.3", line))
+        out_csv = tmp_path / "selections.csv"
+        code = main(["adaptive", "--config", str(cfg_path), "--out-csv", str(out_csv),
+                     "--workers", "1"])
+        assert code == 2
+        assert not out_csv.exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

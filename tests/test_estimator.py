@@ -221,6 +221,20 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.array([[1.3]]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "x,y",
+        [(np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, np.inf), (0.5, -np.inf)],
+    )
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(ValueError):
+            Dataset(np.array([[0.2, 0.3], [x, 0.7]]), np.array([1.0, y]))
+
+    def test_compares_by_identity(self):
+        a = Dataset(np.array([[0.2]]), np.array([1.0]))
+        b = Dataset(np.array([[0.2]]), np.array([1.0]))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_empty(self):
         with pytest.raises(ValueError):
             Dataset(np.empty((0, 1)), np.empty(0))
@@ -259,7 +273,7 @@ def full_mask_fit(ds, x, cfg):
     h = cfg.h
     mask = contains_mask(clip_window(x, h), ds.points)
     while not mask.any():
-        h *= cfg.expand_factor
+        h *= 1.5
         mask = contains_mask(clip_window(x, h), ds.points)
     pts, y = ds.points[mask], ds.responses[mask]
     full_basis = enumerate_basis(ds.q, cfg.beta_star)
@@ -302,7 +316,7 @@ class TestConfigValidation:
             {"beta_star": 1, "h": 0.0},
             {"beta_star": 1, "h": 0.1, "fallback": "punt"},
             {"beta_star": 1, "h": 0.1, "empty_window": "shrink"},
-            {"beta_star": 1, "h": 0.1, "expand_factor": 1.0},
+            {"beta_star": 1, "h": float("nan")},
         ],
     )
     def test_rejects(self, kwargs):
@@ -330,6 +344,13 @@ class TestDatasetFiles:
         path = tmp_path / "bad.csv"
         path.write_text("x1,y\n0.5,1.0\n1.5,2.0\n")
         with pytest.raises(DatasetFormatError, match="line 3.*x1=1.5"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("y", ["inf", "-inf", "nan"])
+    def test_non_finite_response_line_number(self, tmp_path, y):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,y\n0.5,1.0\n0.6,{y}\n")
+        with pytest.raises(DatasetFormatError, match="line 3.*not finite"):
             load_dataset(path)
 
     def test_non_numeric_line_number(self, tmp_path):

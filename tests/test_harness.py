@@ -70,6 +70,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BandwidthRule("balanced", alpha=1.0)
         with pytest.raises(ValueError):
+            BandwidthRule("balanced", alpha=float("nan"), beta=2.0)
+        with pytest.raises(ValueError):
+            BandwidthRule("balanced", alpha=1.0, beta=float("nan"))
+        with pytest.raises(ValueError):
             BandwidthRule("magic")
 
     def test_resolve_bandwidth(self):
@@ -373,6 +377,10 @@ class TestConfigParsing:
             ({"adaptive_s": "x"}, "adaptive_s"),
             ({"adaptive_rho": "x"}, "adaptive_rho"),
             ({"adaptive_constant": "x"}, "adaptive_constant"),
+            ({"bandwidth": "balanced:nan,2"}, "balanced"),
+            ({"error": "weibull:nan"}, "weibull"),
+            ({"adaptive_rho": "nan"}, "rho"),
+            ({"adaptive_constant": "nan"}, "threshold_constant"),
         ],
     )
     def test_build_errors(self, overrides, match):

@@ -29,6 +29,10 @@ class TestClipWindow:
             clip_window((1.2,), 0.1)
         with pytest.raises(ValueError):
             clip_window((0.5,), 0.0)
+        with pytest.raises(ValueError):
+            clip_window((0.5,), float("nan"))
+        with pytest.raises(ValueError):
+            clip_window((float("nan"), 0.5), 0.3)
 
     def test_positive_axis_lengths(self):
         rng = np.random.default_rng(0)
