@@ -69,7 +69,10 @@ class AdaptiveConfig:
     ``grid`` is the evaluation grid the fits are compared on, shape
     (n_grid, q). The threshold of ladder index k is
     ``threshold_constant * (log n / (n h_k^q))**(1/alpha_hat)`` with alpha_hat
-    from ``hill_tail_index`` on local-constant pilot residuals.
+    from ``hill_tail_index`` on local-constant pilot residuals. ``hill_order``
+    (config key ``adaptive_hill_order``) fixes its order count k >= 1; a k
+    with fewer than k + 1 strictly negative pilot residuals fails before any
+    rung is fitted.
     """
 
     grid: np.ndarray
@@ -88,6 +91,10 @@ class AdaptiveConfig:
             raise ValueError("evaluation grid must be nonempty")
         if not self.threshold_constant > 0:
             raise ValueError("threshold_constant must be positive")
+        if self.hill_order is not None and self.hill_order < 1:
+            raise ValueError(
+                f"hill_order (adaptive_hill_order) must be >= 1, got {self.hill_order}"
+            )
         object.__setattr__(self, "grid", grid)
 
 
@@ -167,15 +174,17 @@ def select_bandwidth_index(
 def _pilot_alpha(data: Dataset, cfg: AdaptiveConfig) -> float:
     """Hill plug-in on residuals of a local-constant pilot fit."""
     h_pilot = simulation_bandwidth(data.n, data.q, 0)
-    fitted = np.array(
-        [fit_local_constant(data, pt, h_pilot) for pt in data.points]
-    )
-    residuals = data.responses - fitted
+    residuals = data.responses - fit_local_constant(data, data.points, h_pilot)
     n_neg = int((residuals < 0).sum())
-    if cfg.hill_order is not None:
+    if cfg.hill_order is None:
+        k = max(1, min(int(2 * math.sqrt(data.n)), n_neg - 1))
+    elif cfg.hill_order < n_neg:
         k = cfg.hill_order
     else:
-        k = max(1, min(int(2 * math.sqrt(data.n)), n_neg - 1))
+        raise ValueError(
+            f"hill_order (adaptive_hill_order) {cfg.hill_order} needs "
+            f"{cfg.hill_order + 1} strictly negative pilot residuals, have {n_neg}"
+        )
     return hill_tail_index(residuals, k)
 
 
@@ -199,6 +208,8 @@ def adaptive_bandwidth(
     grid = cfg.grid
     if grid.shape[1] != data.q:
         raise ValueError(f"grid has dimension {grid.shape[1]}, expected {data.q}")
+    # the pilot needs no rung, so a Hill order the data cannot support fails first
+    alpha_hat = _pilot_alpha(data, cfg)
     estimates = np.empty((K + 2, grid.shape[0]))
     for k in range(K + 2):
         fit_cfg = EstimatorConfig(
@@ -212,7 +223,6 @@ def adaptive_bandwidth(
         except (ValueError, RuntimeError) as err:
             raise type(err)(f"ladder rung k={k} (h={capped[k]:.4g}): {err}") from err
 
-    alpha_hat = _pilot_alpha(data, cfg)
     thresholds = cfg.threshold_constant * (
         math.log(n) / (n * capped ** data.q)
     ) ** (1.0 / alpha_hat)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lp
 from .basis import PolyCoeffs, enumerate_basis, vandermonde
-from .windows import WindowIndex, clip_window, objective_vector, window_rows
+from .windows import WindowIndex, clip_window, objective_vector, window_rows, within
 
 
 class EmptyWindowError(ValueError):
@@ -46,6 +46,7 @@ class DatasetFormatError(ValueError):
 _FALLBACKS = ("error", "degrade_degree")
 _EMPTY_POLICIES = ("error", "expand")
 _EXPAND_FACTOR = 1.5  # bandwidth growth per step of the empty-window policy
+_BLOCK_CELLS = 1 << 16  # (centre, slab row) pairs per block of fit_local_constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,13 +226,53 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
         raise RuntimeError(f"local fit LP reported {outcome!r}")
 
 
-def fit_local_constant(data: Dataset, x, h: float) -> float:
-    """Maximum response inside the clipped window; no LP involved."""
-    xv = np.asarray(x, dtype=float).ravel()
-    rows = window_rows(clip_window(xv, h), data.index)
-    if rows.size == 0:
-        raise EmptyWindowError(f"no data within bandwidth {h} of {xv.tolist()}")
-    return float(data.responses[rows].max())
+def fit_local_constant(data: Dataset, x, h: float):
+    """Maximum response inside the clipped window around x; no LP involved.
+
+    ``x`` is one point, shape (q,), or an (m, q) batch; one point returns a
+    float and a batch an (m,) array, as ``eval_poly`` does. The batch is
+    answered in blocks over the window index: one vectorised search gives
+    every centre's slab, each block gathers its centres' slabs padded to the
+    block's widest, and the membership test is ``windows.within``, the one
+    ``contains_mask`` applies. A block holds at most ``_BLOCK_CELLS``
+    (centre, slab row) pairs, or one centre when a single slab is wider.
+    Each value equals the maximum over the rows ``window_rows`` returns for
+    that centre.
+
+    Raises
+    ------
+    EmptyWindowError
+        Some window holds no data; the message names the first such point.
+    """
+    xv = np.asarray(x, dtype=float)
+    single = xv.ndim <= 1
+    centers = xv.reshape(1, -1) if single else xv
+    if centers.ndim != 2 or centers.shape[1] != data.q:
+        raise ValueError(f"points of shape {xv.shape}; expected ({data.q},) or (m, {data.q})")
+    if not h > 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    outside = ~np.all((centers >= 0) & (centers <= 1), axis=1)
+    if outside.any():
+        point = centers[outside.argmax()]
+        raise ValueError(f"window center {point.tolist()} outside the unit cube")
+    index = data.index
+    lo, hi = index.slab(centers[:, 0], h)
+    widths = hi - lo
+    block = max(1, _BLOCK_CELLS // max(1, int(widths.max(initial=0))))
+    fitted = np.empty(centers.shape[0])
+    for start in range(0, centers.shape[0], block):
+        span = slice(start, start + block)
+        offsets = np.arange(widths[span].max())
+        # a position past a centre's slab holds a row outside its window or,
+        # clipped, repeats the last row; neither changes the maximum
+        rows = index.order.take(lo[span, None] + offsets, mode="clip")
+        inside = within(data.points.take(rows, axis=0), centers[span, None, :], h)
+        empty = np.flatnonzero(~inside.any(axis=1))
+        if empty.size:
+            point = centers[start + empty[0]]
+            raise EmptyWindowError(f"no data within bandwidth {h} of {point.tolist()}")
+        fitted[span] = np.where(inside, data.responses.take(rows), -np.inf).max(axis=1)
+    return float(fitted[0]) if single else fitted
 
 
 def fit_grid(data: Dataset, grid, cfg: EstimatorConfig) -> list[FitResult]:

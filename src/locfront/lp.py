@@ -21,6 +21,13 @@ certificates are mapped back to the caller's scale.
 
 Cycling on degenerate instances (collinear data points) is handled by
 switching to Bland's rule after a budget of degenerate pivots.
+
+The tableau has only p + 1 <= 11 rows, so a pivot step is cheap arithmetic
+wrapped in call overhead. The loop keeps that overhead small: the entering
+column is one ``argmin`` over the cost row, the ratio test and both of its
+tie-breaks run in Python floats over the p rows, and the rank-1 update writes
+into one work buffer allocated per solve. The floats are IEEE doubles, as
+numpy's, so every step takes the pivot a vectorized ratio test would take.
 """
 
 from __future__ import annotations
@@ -99,60 +106,71 @@ class BoundednessCertificate:
     multipliers: np.ndarray
 
 
-def _pivot(T: np.ndarray, basis: list[int], r: int, k: int) -> None:
+def _pivot(T: np.ndarray, basis: list[int], r: int, k: int, work: np.ndarray) -> None:
+    """Pivot T on (r, k) in place; ``work`` is a scratch buffer of T's shape.
+
+    Every row i != r loses T[i, k] times the normalized row r. Row r loses
+    0 * itself, as in an update with the pivot entry zeroed, so the signs of
+    its zero entries come out as in a plain outer-product update.
+    """
     T[r] /= T[r, k]
-    col = T[:, k].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
+    np.multiply(T[:, k, None], T[r], out=work)
+    work[r] *= 0.0
+    T -= work
     # keep the pivot column an exact unit vector
     T[:, k] = 0.0
     T[r, k] = 1.0
     basis[r] = k
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int) -> str:
+def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarray) -> str:
     """Iterate to optimality on a tableau with nonnegative rhs column.
 
     Returns "optimal" or "unbounded"; raises SimplexIterationError on the
-    pivot budget. Dantzig entering rule with a largest-pivot tie-break,
-    falling back to Bland's rule once the degenerate pivots in a row exceed
-    50 times the tableau's rows plus columns.
+    pivot budget. Dantzig entering rule; the ratio test runs over the row
+    entries above TOL, and among the rows whose ratio is within TOL of the
+    smallest it takes the largest pivot entry (the first on ties). After
+    more than 50 times the tableau's rows plus columns degenerate pivots in
+    a row it switches to Bland's rule: the first improving column enters and
+    the tied row with the lowest basic index leaves. ``work`` is the pivot
+    buffer, of T's shape.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
     bland_after = 50 * (m + n)
     degenerate = 0
     bland = False
+    costs = T[-1, :n]
     for _ in range(max_iter):
-        costs = T[-1, :n]
         if bland:
-            entering = np.nonzero(costs < -TOL)[0]
+            entering = np.flatnonzero(costs < -TOL)
             if entering.size == 0:
                 return "optimal"
             k = int(entering[0])
         else:
-            k = int(np.argmin(costs))
+            k = int(costs.argmin())
             if costs[k] >= -TOL:
                 return "optimal"
-        col = T[:m, k]
-        positive = col > TOL
-        if not positive.any():
+        col = T[:m, k].tolist()
+        rhs = T[:m, n].tolist()
+        ratios = {i: rhs[i] / c for i, c in enumerate(col) if c > TOL}
+        if not ratios:
+            # no entry above TOL; an overflowed, infinite theta is not this test
             return "unbounded"
-        ratios = np.divide(T[:m, n], col, out=np.full(m, np.inf), where=positive)
-        theta = float(ratios.min())
-        near = np.nonzero(ratios <= theta + TOL * (1.0 + abs(theta)))[0]
+        theta = min(ratios.values())
+        bound = theta + TOL * (1.0 + abs(theta))
+        near = [i for i, ratio in ratios.items() if ratio <= bound]
         if bland:
-            basis_arr = np.asarray(basis)
-            r = int(near[np.argmin(basis_arr[near])])
+            r = min(near, key=basis.__getitem__)
         else:
-            r = int(near[np.argmax(col[near])])
+            r = max(near, key=col.__getitem__)
         if theta <= TOL:
             degenerate += 1
             if degenerate > bland_after:
                 bland = True
         else:
             degenerate = 0
-        _pivot(T, basis, r, k)
+        _pivot(T, basis, r, k, work)
     raise SimplexIterationError(
         f"simplex exceeded {max_iter} pivots on a {m}x{n} tableau"
     )
@@ -187,8 +205,10 @@ def _pivot_budget(prob: LpProblem, max_iter: int | None) -> int:
     return 500 + 20 * (m + p) if max_iter is None else max_iter
 
 
-def _phase1(s: _Scaled, max_iter: int):
+def _phase1(s: _Scaled, max_iter: int, work: np.ndarray):
     """Basic solution of {g >= 0 : A^T g = v} in the scaled problem.
+
+    ``work`` is the pivot buffer, shape (p + 1, m + 1).
 
     Returns None when the set is empty. Otherwise returns (T, basis, kept):
     the tableau with its phase-1 cost row, the basic column of each tableau
@@ -206,7 +226,7 @@ def _phase1(s: _Scaled, max_iter: int):
     # unit cost on the artificials, reduced against the artificial basis
     T[p] = -T[:p].sum(axis=0)
     basis = list(range(m, m + p))
-    if _run_simplex(T, basis, max_iter) != "optimal":
+    if _run_simplex(T, basis, max_iter, work) != "optimal":
         # the artificial sum is bounded below by zero; anything else is breakdown
         raise SimplexIterationError("phase 1 of the dual ended unbounded")
     if -T[p, m] > 100 * TOL:
@@ -222,7 +242,7 @@ def _phase1(s: _Scaled, max_iter: int):
             if entries[k] <= 10 * TOL:
                 dropped.append(basis[i] - m)
                 continue
-            _pivot(T, basis, i, k)
+            _pivot(T, basis, i, k, work)
         rows.append(i)
     kept = [j for j in range(p) if j not in dropped]
     return T[rows + [p]], [basis[i] for i in rows], kept
@@ -240,21 +260,22 @@ def solve(prob: LpProblem, max_iter: int | None = None) -> LpOutcome:
     """
     s = _Scaled.of(prob)
     max_iter = _pivot_budget(prob, max_iter)
-    start = _phase1(s, max_iter)
+    p, m = s.At.shape
+    work = np.empty((p + 1, m + 1))
+    start = _phase1(s, max_iter, work)
     if start is None:
         return Unbounded()
     T, basis, kept = start
-    m = s.At.shape[1]
 
     # phase 2: maximize y.g, i.e. minimize -y.g, costs reduced against the basis
     T[-1] = 0.0
     T[-1, :m] = -s.y
     T[-1] += s.y[basis] @ T[:-1]
-    if _run_simplex(T, basis, max_iter) == "unbounded":
+    if _run_simplex(T, basis, max_iter, work[: T.shape[0]]) == "unbounded":
         return Infeasible()
 
     # the active rows hold with equality: A_B b = y_B, redundant coefficients 0
-    c = np.zeros(s.At.shape[0])
+    c = np.zeros(p)
     c[kept] = np.linalg.solve(s.At[kept][:, basis].T, s.y[basis])
     b = c * s.y_scale / s.col_scale
     return Optimal(solution=b, objective_value=float(prob.objective @ b))
@@ -267,10 +288,11 @@ def check_bounded(prob: LpProblem) -> BoundednessCertificate | None:
     Unbounded.
     """
     s = _Scaled.of(prob)
-    start = _phase1(s, _pivot_budget(prob, None))
+    p, m = s.At.shape
+    start = _phase1(s, _pivot_budget(prob, None), np.empty((p + 1, m + 1)))
     if start is None:
         return None
     T, basis, _ = start
-    g = np.zeros(s.At.shape[1])
+    g = np.zeros(m)
     g[basis] = T[:-1, -1] * s.v_scale
     return BoundednessCertificate(multipliers=g)

@@ -4,12 +4,16 @@ A window is the max-norm ball of radius h around a point x, intersected with
 [0,1]^q. The integral of any shifted monomial over that box factorizes per
 axis, which gives the LP objective vector in closed form.
 
-``contains_mask`` is the one membership test. ``window_rows`` answers a
-window query on a read-only point array through a ``WindowIndex`` (the rows
-sorted on the first coordinate, built once per array): a binary search cuts
-the slab of rows whose first coordinate can lie in the window, and only that
-slab goes through ``contains_mask``. A query costs O(log n + slab) instead of
-O(n) and returns exactly the rows a full-array mask selects.
+``within`` is the one membership expression: a per-axis conjunction of
+``abs(p_r - c_r) <= h``, which broadcasts over batches of centres.
+``contains_mask`` applies it to one window. ``window_rows`` answers a window
+query on a read-only point array through a ``WindowIndex`` (the rows sorted
+on the first coordinate, built once per array): a binary search,
+``WindowIndex.slab``, cuts the slab of rows whose first coordinate can lie in
+the window, and only that slab goes through ``contains_mask``. A query costs
+O(log n + slab) instead of O(n) and returns exactly the rows a full-array
+mask selects. ``estimator.fit_local_constant`` runs the same slab search and
+``within`` over a whole batch of centres at once.
 """
 
 from __future__ import annotations
@@ -60,12 +64,27 @@ def clip_window(x, h: float) -> Window:
     return Window(center=xv, bandwidth=float(h), lower=lower, upper=upper)
 
 
+def within(points: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
+    """Whether each point lies within max-norm distance h of its centre.
+
+    ``points`` and ``centers`` broadcast against each other over their
+    leading axes and share the last axis q. The test is the conjunction of
+    ``abs(p_r - c_r) <= h`` over the axes r, which decides exactly as
+    ``max_r abs(p_r - c_r) <= h`` (both are exact) without a reduction over
+    the short q axis.
+    """
+    inside = np.abs(points[..., 0] - centers[..., 0]) <= h
+    for r in range(1, points.shape[-1]):
+        inside &= np.abs(points[..., r] - centers[..., r]) <= h
+    return inside
+
+
 def contains_mask(w: Window, points: np.ndarray) -> np.ndarray:
     """Vectorized membership test for an (n, q) array of cube points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != w.q:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {w.q}")
-    return np.max(np.abs(pts - w.center[None, :]), axis=1) <= w.bandwidth
+    return within(pts, w.center, w.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -88,20 +107,28 @@ class WindowIndex:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "keys", keys)
 
+    def slab(self, c0, h: float):
+        """Positions [lo, hi) in ``keys`` of every row whose first coordinate
+        can lie within h of c0, a scalar or an array of first coordinates.
+
+        The interval [c0 - h, c0 + h] is widened by a few ulps, more than the
+        rounding of both its ends and of the membership test's ``p - c``, so
+        the slab holds every member.
+        """
+        pad = 4.0 * np.finfo(float).eps * (np.abs(c0) + h)
+        lo = np.searchsorted(self.keys, c0 - h - pad, side="left")
+        hi = np.searchsorted(self.keys, c0 + h + pad, side="right")
+        return lo, hi
+
 
 def window_rows(w: Window, index: WindowIndex) -> np.ndarray:
     """Ascending row numbers of the indexed points inside ``w``.
 
-    Equal to ``np.flatnonzero(contains_mask(w, index.points))``. The slab
-    [c0 - h, c0 + h] on the first coordinate is widened by a few ulps, more
-    than the rounding of both its ends and of the test's ``p - c``, so it holds
-    every member; ``contains_mask`` on the slab then decides membership by the
+    Equal to ``np.flatnonzero(contains_mask(w, index.points))``: the slab
+    holds every member, and ``contains_mask`` on it decides membership by the
     same float expression as a full scan.
     """
-    c0, h = float(w.center[0]), w.bandwidth
-    pad = 4.0 * np.finfo(float).eps * (abs(c0) + h)
-    lo = np.searchsorted(index.keys, c0 - h - pad, side="left")
-    hi = np.searchsorted(index.keys, c0 + h + pad, side="right")
+    lo, hi = index.slab(float(w.center[0]), w.bandwidth)
     slab = index.order[lo:hi]
     return np.sort(slab[contains_mask(w, index.points[slab])])
 

@@ -93,6 +93,35 @@ def brute_force_ladder_index(grid_estimates, thresholds):
     return min(triggered) if triggered else top
 
 
+def brute_force_pilot_alpha(points, responses, hill_order=None) -> float:
+    """The adaptive rule's Hill plug-in, computed with explicit loops.
+
+    Each data point's pilot value is the largest response within max-norm
+    distance h = n**(-1/(q+1)) of it, found by comparing every pair of points
+    coordinate by coordinate. The Hill estimate takes the k+1 smallest
+    magnitudes of the strictly negative residuals and sums its log ratios
+    exactly; k defaults to 2 sqrt(n), kept below the negative count.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    y = np.asarray(responses, dtype=float)
+    n, q = pts.shape
+    h = min(1.0, float(n) ** (-1.0 / (q + 1)))
+    residuals = []
+    for i in range(n):
+        best = -math.inf
+        for j in range(n):
+            if all(abs(pts[j, r] - pts[i, r]) <= h for r in range(q)):
+                best = max(best, y[j])
+        residuals.append(y[i] - best)
+    magnitudes = sorted(-e for e in residuals if e < 0.0)
+    if hill_order is None:
+        k = max(1, min(int(2 * math.sqrt(n)), len(magnitudes) - 1))
+    else:
+        k = hill_order
+    z = magnitudes[: k + 1]
+    return k / math.fsum(math.log(z[k] / z[i]) for i in range(k))
+
+
 def enumerate_vertices_oracle(prob, feas_tol: float = 1e-9) -> list[np.ndarray]:
     """All basic feasible points of {b : A b >= y}, by exhaustion.
 

@@ -5,6 +5,7 @@ import pytest
 
 from locfront.bandwidth import (
     AdaptiveConfig,
+    _pilot_alpha,
     adaptive_bandwidth,
     balanced_bandwidth,
     hill_tail_index,
@@ -14,7 +15,7 @@ from locfront.bandwidth import (
 from locfront.synthetic import ErrorSpec, ModelSpec, gen_design, make_sample, sample_errors
 from locfront.synthetic import DesignSpec
 
-from oracles import brute_force_ladder_index
+from oracles import brute_force_ladder_index, brute_force_pilot_alpha
 
 
 class TestSimulationBandwidth:
@@ -207,6 +208,32 @@ class TestAdaptiveBandwidth:
             AdaptiveConfig(grid=self.grid(), threshold_constant=float("nan"))
         with pytest.raises(ValueError):
             AdaptiveConfig(grid=np.empty((0, 1)))
+        for order in (0, -2):
+            with pytest.raises(ValueError, match="adaptive_hill_order"):
+                AdaptiveConfig(grid=self.grid(), hill_order=order)
+
+    @pytest.mark.parametrize(
+        "q,n,seed,order", [(1, 60, 11, None), (1, 300, 12, 5), (2, 250, 13, None),
+                           (2, 400, 14, 30), (3, 200, 15, None)]
+    )
+    def test_pilot_matches_brute_force(self, q, n, seed, order):
+        data = sine_data(n, seed=seed, q=q)
+        cfg = AdaptiveConfig(grid=np.full((1, q), 0.5), hill_order=order)
+        expected = brute_force_pilot_alpha(data.points, data.responses, order)
+        assert _pilot_alpha(data, cfg) == pytest.approx(expected, rel=1e-12)
+
+    def test_order_beyond_negative_residuals_fails_before_any_rung(self, monkeypatch):
+        import locfront.bandwidth as bandwidth
+
+        data = sine_data(120, seed=7)
+
+        def no_fit(*args):
+            raise AssertionError("a rung was fitted")
+
+        monkeypatch.setattr(bandwidth, "fit_at", no_fit)
+        cfg = AdaptiveConfig(grid=self.grid(), hill_order=119)
+        with pytest.raises(ValueError, match="adaptive_hill_order"):
+            adaptive_bandwidth(data, 1, cfg)
 
     def test_grid_dimension_checked(self):
         data = sine_data(100, seed=6)

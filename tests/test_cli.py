@@ -272,3 +272,28 @@ class TestAdaptiveCommand:
         assert code == 2
         assert not out_csv.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "order,error", [("0", "ConfigError"), ("500", "ValueError")]
+    )
+    def test_unusable_hill_order_exits_2_before_any_rung(
+        self, tmp_path, capsys, monkeypatch, order, error
+    ):
+        # 0 fails at config parse; 500 exceeds the pilot's negative residuals
+        # (n = 120) and fails at the pilot, which runs before the ladder
+        import locfront.bandwidth as bandwidth
+
+        def no_fit(*args):
+            raise AssertionError("a rung was fitted")
+
+        monkeypatch.setattr(bandwidth, "fit_at", no_fit)
+        cfg_path = tmp_path / "adapt.cfg"
+        cfg_path.write_text(ADAPTIVE_CONFIG + f"adaptive_hill_order = {order}\n")
+        out_csv = tmp_path / "selections.csv"
+        code = main(["adaptive", "--config", str(cfg_path), "--out-csv", str(out_csv),
+                     "--workers", "1"])
+        assert code == 2
+        assert not out_csv.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == error
+        assert "adaptive_hill_order" in record["message"]

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from locfront import lp
+from locfront import estimator, lp
 from locfront.basis import enumerate_basis, eval_poly, vandermonde
 from locfront.estimator import (
     Dataset,
@@ -91,6 +91,41 @@ class TestFitLocalConstant:
         ds = Dataset(np.array([[0.9]]), np.array([1.0]))
         with pytest.raises(EmptyWindowError):
             fit_local_constant(ds, [0.1], 0.05)
+
+    def test_batch_returns_array_single_point_float(self):
+        ds = Dataset(np.array([[0.45], [0.5], [0.55]]), np.array([0.2, 0.7, 0.5]))
+        batch = fit_local_constant(ds, [[0.4], [0.5], [0.6]], 0.06)
+        assert isinstance(batch, np.ndarray)
+        assert batch.tolist() == [0.2, 0.7, 0.5]
+        assert isinstance(fit_local_constant(ds, [0.6], 0.06), float)
+
+    def test_batch_with_empty_window_names_the_point(self):
+        ds = Dataset(np.array([[0.2, 0.2], [0.8, 0.8]]), np.array([1.0, 2.0]))
+        with pytest.raises(EmptyWindowError, match=r"\[0\.5, 0\.25\]"):
+            fit_local_constant(ds, [[0.2, 0.2], [0.5, 0.25], [0.8, 0.8]], 0.1)
+
+    def test_batch_rejects_bad_input(self):
+        ds = Dataset(np.array([[0.2, 0.2]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="outside the unit cube"):
+            fit_local_constant(ds, [[0.2, 0.2], [0.5, 1.5]], 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            fit_local_constant(ds, [[0.2, 0.2, 0.2]], 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            fit_local_constant(ds, np.full((2, 1, 2), 0.2), 0.1)
+        with pytest.raises(ValueError, match="bandwidth"):
+            fit_local_constant(ds, [[0.2, 0.2]], float("nan"))
+
+    def test_batch_over_many_blocks_equals_per_point_scan(self):
+        rng = np.random.default_rng(41)
+        ds = Dataset(rng.uniform(0, 1, (2000, 2)), rng.normal(size=2000))
+        centers = rng.uniform(0, 1, (500, 2))
+        h = 0.6
+        lo, hi = ds.index.slab(centers[:, 0], h)
+        assert centers.shape[0] * int((hi - lo).max()) > 4 * estimator._BLOCK_CELLS
+        expected = [
+            ds.responses[contains_mask(clip_window(c, h), ds.points)].max() for c in centers
+        ]
+        assert fit_local_constant(ds, centers, h).tolist() == expected
 
 
 def assert_same_fit(a, b):

@@ -381,6 +381,8 @@ class TestConfigParsing:
             ({"error": "weibull:nan"}, "weibull"),
             ({"adaptive_rho": "nan"}, "rho"),
             ({"adaptive_constant": "nan"}, "threshold_constant"),
+            ({"adaptive_hill_order": "0"}, "adaptive_hill_order"),
+            ({"adaptive_hill_order": "-4"}, "adaptive_hill_order"),
         ],
     )
     def test_build_errors(self, overrides, match):

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locfront.basis import enumerate_basis, vandermonde
 from locfront.lp import (
@@ -228,3 +230,32 @@ class TestAgainstHighs:
             out = solve(prob)
             assert isinstance(out, Unbounded) == (not highs_has_certificate(prob))
             assert type(out).__name__.lower() == highs_reference(prob)[0]
+
+
+small_ints = st.integers(-2, 2)
+tie_heavy_lps = st.tuples(st.integers(1, 4), st.integers(1, 10)).flatmap(
+    lambda pm: st.tuples(
+        st.lists(small_ints, min_size=pm[0], max_size=pm[0]),
+        st.lists(
+            st.lists(small_ints, min_size=pm[0], max_size=pm[0]),
+            min_size=pm[1], max_size=pm[1],
+        ),
+        st.lists(small_ints, min_size=pm[1], max_size=pm[1]),
+    )
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tie_heavy_lps)
+def test_tie_heavy_lps_match_highs(data):
+    """Entries in {-2, ..., 2}: repeated rows, equal ratios and degenerate
+    pivots are common, so both tie-breaks of the ratio test decide pivots."""
+    v, A, y = data
+    prob = LpProblem(v, A, y)
+    out = solve(prob)
+    status, b_ref = highs_reference(prob)
+    # an infeasible dual is reported as Unbounded whatever the primal, as documented
+    expected = status if highs_has_certificate(prob) else "unbounded"
+    assert type(out).__name__.lower() == expected
+    if expected == "optimal":
+        assert scale_relative_error(prob, out.solution, b_ref) <= 1e-9

@@ -4,16 +4,25 @@ datasets.
 Windows run from h=0.01 to 0.5 and degrees up to the largest the sweeps use
 (6 for q=1, 4 for q=2, 3 for q=3), so objective entries span many orders of
 magnitude; tolerances are relative to the size of the terms compared. The
-index property puts points on and next to the window faces, where rounding
-decides membership.
+index and batched local-constant properties put points on and next to the
+window faces, where rounding decides membership.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locfront.basis import eval_poly, vandermonde
-from locfront.estimator import Dataset, EstimatorConfig, fit_at
+from locfront.estimator import (
+    Dataset,
+    EmptyWindowError,
+    EstimatorConfig,
+    fit_at,
+    fit_local_constant,
+)
 from locfront.windows import clip_window, contains_mask, window_rows
 
 MAX_DEGREE = {1: 6, 2: 4, 3: 3}
@@ -105,3 +114,53 @@ def test_window_rows_equal_a_full_mask(case):
     data, w = make_index_case(*case)
     expected = np.flatnonzero(contains_mask(w, data.points))
     np.testing.assert_array_equal(window_rows(w, data.index), expected)
+
+
+batch_cases = st.tuples(
+    st.integers(1, 3),
+    st.floats(1e-3, 1.5),
+    st.integers(1, 400),
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def make_batch_case(q, h, n, m, seed):
+    """m centres, each inside the cube, on a face (one axis at 0 or 1) or on
+    a corner, and n points around them of which a third sit on a face
+    c +- h of their centre or one ulp either side of it."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, 1, (m, q))
+    corners = rng.integers(0, 2, (m, q)).astype(float)
+    kind = rng.integers(0, 3, m)
+    axes = rng.integers(0, q, m)
+    on_face = np.flatnonzero(kind == 1)
+    centers[on_face, axes[on_face]] = corners[on_face, axes[on_face]]
+    centers[kind == 2] = corners[kind == 2]
+    owner = rng.integers(0, m, n)
+    pts = centers[owner] + h * rng.uniform(-1.2, 1.2, (n, q))
+    near = rng.random(n) < 1 / 3
+    axes = rng.integers(0, q, n)
+    face = centers[owner, axes] + h * rng.choice([-1.0, 1.0], n)
+    face = np.nextafter(face, face + rng.choice([-1.0, 0.0, 1.0], n))
+    pts[near, axes[near]] = face[near]
+    return Dataset(np.clip(pts, 0.0, 1.0), rng.normal(size=n)), centers
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(batch_cases)
+def test_batched_local_constant_equals_per_point_max(case):
+    h = case[1]
+    data, centers = make_batch_case(*case)
+    masks = [contains_mask(clip_window(c, h), data.points) for c in centers]
+    empty = [i for i, mask in enumerate(masks) if not mask.any()]
+    if empty:
+        with pytest.raises(EmptyWindowError, match=re.escape(str(centers[empty[0]].tolist()))):
+            fit_local_constant(data, centers, h)
+        keep = [i for i, mask in enumerate(masks) if mask.any()]
+        if not keep:
+            return
+        centers, masks = centers[keep], [masks[i] for i in keep]
+    expected = [data.responses[mask].max() for mask in masks]
+    assert fit_local_constant(data, centers, h).tolist() == expected
+    assert fit_local_constant(data, centers[0], h) == expected[0]
