@@ -12,7 +12,6 @@ Carlo harness with a CLI.
 
 from .basis import (
     BasisSpec,
-    MultiIndex,
     PolyCoeffs,
     enumerate_basis,
     eval_poly,
@@ -53,7 +52,6 @@ from .harness import (
     run_rate_study,
 )
 from .lp import (
-    BoundednessCertificate,
     Infeasible,
     LpOutcome,
     LpProblem,

@@ -6,7 +6,9 @@ polynomials) shares one coefficient layout: the complete basis of monomials
 ``max_degree``, ordered graded-lexicographically with the zero index first.
 That ordering makes "value at the expansion center" always the first
 coefficient, and makes every lower-degree basis a prefix of a higher-degree
-one.
+one. Monomials are evaluated by products: each is its parent in
+``BasisSpec.parents`` times one offset t_r - x_r, so no float ``**`` enters
+a value.
 """
 
 from __future__ import annotations
@@ -20,38 +22,18 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """Exponent tuple of a single multivariate monomial."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.exponents) < 1:
-            raise ValueError("multi-index needs at least one coordinate")
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"negative exponent in {self.exponents}")
-
-    @property
-    def q(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-
-@dataclass(frozen=True)
 class BasisSpec:
     """Complete shifted-monomial basis of total degree <= max_degree in q variables.
 
-    ``indices`` is graded-lexicographic: sorted by degree, then by exponent
-    tuple with earlier coordinates dominating, so e.g. for q=2, degree 2 the
-    order is (0,0),(1,0),(0,1),(2,0),(1,1),(0,2).
+    ``indices`` holds one exponent tuple per monomial, graded-lexicographic:
+    sorted by degree, then by exponent tuple with earlier coordinates
+    dominating, so e.g. for q=2, degree 2 the order is
+    (0,0),(1,0),(0,1),(2,0),(1,1),(0,2).
     """
 
     q: int
     max_degree: int
-    indices: tuple[MultiIndex, ...]
+    indices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.q < 1:
@@ -68,11 +50,20 @@ class BasisSpec:
         return len(self.indices)
 
     @cached_property
-    def exponent_matrix(self) -> np.ndarray:
-        """Integer array of shape (len(self), q), one multi-index per row."""
-        arr = np.array([mi.exponents for mi in self.indices], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+    def parents(self) -> tuple[tuple[int, int], ...]:
+        """(parent, r) for each monomial after the first, in basis order.
+
+        The monomial is its parent times (t_r - x_r), where r is its first
+        axis of nonzero exponent and the parent, one exponent lower on that
+        axis, comes earlier in the basis. The q monomials of degree one have
+        the constant as parent.
+        """
+        position = {j: k for k, j in enumerate(self.indices)}
+        table = []
+        for j in self.indices[1:]:
+            r = next(r for r, e in enumerate(j) if e)
+            table.append((position[j[:r] + (j[r] - 1,) + j[r + 1 :]], r))
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -122,20 +113,25 @@ def enumerate_basis(q: int, beta_star: int) -> BasisSpec:
         if sum(j) <= beta_star
     ]
     raw.sort(key=lambda j: (sum(j), tuple(-e for e in j)))
-    return BasisSpec(q=q, max_degree=beta_star, indices=tuple(MultiIndex(j) for j in raw))
+    return BasisSpec(q=q, max_degree=beta_star, indices=tuple(raw))
 
 
-def _check_point(t, q: int, name: str) -> np.ndarray:
+def _as_points(t, q: int) -> tuple[np.ndarray, bool]:
+    """One point of shape (q,) or an (m, q) batch as an (m, q) array, and
+    whether it was one point; any other shape raises ValueError."""
     arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.shape[-1] != q:
-        raise ValueError(f"{name} has dimension {arr.shape[-1]}, expected {q}")
-    return arr
+    if arr.shape == (q,):
+        return arr[None, :], True
+    if arr.ndim != 2 or arr.shape[1] != q:
+        raise ValueError(f"points of shape {arr.shape}; expected ({q},) or (m, {q})")
+    return arr, False
 
 
 def vandermonde(basis: BasisSpec, points, x) -> np.ndarray:
     """Shifted-monomial design matrix for a batch of points.
+
+    Every monomial is its parent in ``basis.parents`` times one coordinate
+    offset t_r - x_r: one IEEE product per entry, with no ``**``.
 
     Parameters
     ----------
@@ -149,56 +145,47 @@ def vandermonde(basis: BasisSpec, points, x) -> np.ndarray:
     -------
     ndarray, shape (m, len(basis))
         Row i holds (points[i] - x)**j for every basis index j, in basis
-        order; column 0 is all ones.
+        order; column 0 is all ones. The array is the transposed view of a
+        C-ordered (len(basis), m) table, so it is F-ordered: each column is
+        contiguous.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != basis.q:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {basis.q}")
-    xv = _check_point(x, basis.q, "x")
-    diff = pts - xv[None, :]
-    # per-axis power tables up to max_degree, then gather per multi-index
-    powers = diff[:, :, None] ** np.arange(basis.max_degree + 1)[None, None, :]
-    exps = basis.exponent_matrix
-    rows = np.ones((pts.shape[0], len(basis)))
-    for r in range(basis.q):
-        rows *= powers[:, r, exps[:, r]]
-    return rows
+    pts, _ = _as_points(points, basis.q)
+    xv = np.asarray(x, dtype=float)
+    if xv.shape != (basis.q,):
+        raise ValueError(f"center of shape {xv.shape}; expected ({basis.q},)")
+    table = np.empty((len(basis), pts.shape[0]))
+    table[0] = 1.0
+    if basis.max_degree > 0:
+        # rows 1..q are the degree-one monomials: the offsets t_r - x_r,
+        # the factors of every later row
+        np.subtract(pts.T, xv[:, None], out=table[1 : basis.q + 1])
+    for k, (parent, r) in enumerate(basis.parents[basis.q :], start=basis.q + 1):
+        np.multiply(table[parent], table[r + 1], out=table[k])
+    return table.T
 
 
 def eval_poly(coeffs: PolyCoeffs, t, x):
-    """Value of the polynomial at t (or an (m, q) batch of points)."""
-    tv = np.asarray(t, dtype=float)
-    if tv.ndim <= 1:
-        return float(vandermonde(coeffs.basis, tv.reshape(1, -1), x)[0] @ coeffs.coeffs)
-    return vandermonde(coeffs.basis, tv, x) @ coeffs.coeffs
+    """Value of the polynomial at t, shape (q,), or an (m, q) batch of points."""
+    pts, single = _as_points(t, coeffs.basis.q)
+    values = vandermonde(coeffs.basis, pts, x) @ coeffs.coeffs
+    return float(values[0]) if single else values
 
 
 def poly_gradient(coeffs: PolyCoeffs, t, x):
-    """Exact gradient of the polynomial at t (or an (m, q) batch).
+    """Exact gradient of the polynomial at t, shape (q,), or an (m, q) batch.
 
     Differentiation lowers exponents analytically: d/dt_r (t-x)**j is
-    j_r * (t-x)**(j - e_r). Returns shape (q,) for a single point, (m, q)
-    for a batch.
+    j_r * (t-x)**(j - e_r), and j - e_r is a basis monomial, so the gradient
+    is the Vandermonde of t times a (len(basis), q) matrix of those
+    coefficients. Returns shape (q,) for a single point, (m, q) for a batch.
     """
     basis = coeffs.basis
-    tv = np.asarray(t, dtype=float)
-    single = tv.ndim <= 1
-    pts = np.atleast_2d(tv)
-    if pts.shape[1] != basis.q:
-        raise ValueError(f"t has dimension {pts.shape[1]}, expected {basis.q}")
-    xv = _check_point(x, basis.q, "x")
-    diff = pts - xv[None, :]
-    powers = diff[:, :, None] ** np.arange(basis.max_degree + 1)[None, None, :]
-    exps = basis.exponent_matrix
-    grad = np.zeros((pts.shape[0], basis.q))
-    for r in range(basis.q):
-        keep = exps[:, r] > 0
-        if not keep.any():
-            continue
-        terms = np.ones((pts.shape[0], int(keep.sum())))
-        for s in range(basis.q):
-            # exponent lowered by one on the differentiated axis (> 0 on `keep` rows)
-            e = exps[keep, s] - 1 if s == r else exps[keep, s]
-            terms *= powers[:, s, e]
-        grad[:, r] = terms @ (coeffs.coeffs[keep] * exps[keep, r])
+    pts, single = _as_points(t, basis.q)
+    position = {j: k for k, j in enumerate(basis.indices)}
+    lowered = np.zeros((len(basis), basis.q))
+    for j, c in zip(basis.indices, coeffs.coeffs):
+        for r, e in enumerate(j):
+            if e:
+                lowered[position[j[:r] + (e - 1,) + j[r + 1 :]], r] = e * c
+    grad = vandermonde(basis, pts, x) @ lowered
     return grad[0] if single else grad

@@ -99,13 +99,6 @@ class Infeasible:
 LpOutcome = Optimal | Unbounded | Infeasible
 
 
-@dataclass(frozen=True)
-class BoundednessCertificate:
-    """Nonnegative multipliers g with A^T g = v (within tolerance)."""
-
-    multipliers: np.ndarray
-
-
 def _pivot(T: np.ndarray, basis: list[int], r: int, k: int, work: np.ndarray) -> None:
     """Pivot T on (r, k) in place; ``work`` is a scratch buffer of T's shape.
 
@@ -281,11 +274,11 @@ def solve(prob: LpProblem, max_iter: int | None = None) -> LpOutcome:
     return Optimal(solution=b, objective_value=float(prob.objective @ b))
 
 
-def check_bounded(prob: LpProblem) -> BoundednessCertificate | None:
-    """Certificate g >= 0 with A^T g = v, or None when no such g exists.
+def check_bounded(prob: LpProblem) -> np.ndarray | None:
+    """Certificate g >= 0, shape (m,), with A^T g = v, or None when none exists.
 
-    This is phase 1 of ``solve``: no certificate means ``solve`` reports
-    Unbounded.
+    A^T g = v holds within the solver's tolerance. This is phase 1 of
+    ``solve``: no certificate means ``solve`` reports Unbounded.
     """
     s = _Scaled.of(prob)
     p, m = s.At.shape
@@ -295,4 +288,4 @@ def check_bounded(prob: LpProblem) -> BoundednessCertificate | None:
     T, basis, _ = start
     g = np.zeros(m)
     g[basis] = T[:-1, -1] * s.v_scale
-    return BoundednessCertificate(multipliers=g)
+    return g

@@ -19,6 +19,7 @@ mask selects. ``estimator.fit_local_constant`` runs the same slab search and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -133,33 +134,38 @@ def window_rows(w: Window, index: WindowIndex) -> np.ndarray:
     return np.sort(slab[contains_mask(w, index.points[slab])])
 
 
-def _axis_integrals(w: Window, max_degree: int) -> np.ndarray:
-    """Per-axis antiderivative differences, shape (q, max_degree + 1).
+def _axis_integrals(w: Window, max_degree: int) -> list[list[float]]:
+    """Per-axis antiderivative differences, q lists of max_degree + 1 floats.
 
-    Entry (r, d) is the integral of (t - x_r)**d over [lower_r, upper_r].
-    Offsets on unclipped axes are exactly +-h, so odd-degree entries of a
-    symmetric window cancel to exactly zero.
+    Entry [r][d] is the integral of (t - x_r)**d over [lower_r, upper_r],
+    (hi**(d+1) - lo**(d+1)) / (d+1) for the offsets hi >= 0 >= lo of the
+    axis ends from x_r. The powers are running products in Python floats
+    (IEEE doubles). The power of lo is that of its magnitude with the sign
+    set by parity, and offsets on unclipped axes are exactly +-h, so
+    odd-degree entries of a symmetric window cancel to exactly 0.0.
     """
-    hi = np.where(w.upper < 1.0, w.bandwidth, 1.0 - w.center)
-    lo = np.where(w.lower > 0.0, -w.bandwidth, -w.center)
-    d1 = np.arange(1, max_degree + 2)
-    # power of the nonpositive lower offset via its magnitude, sign analytic:
-    # identical magnitudes then cancel bit-exactly on symmetric axes
-    parity = np.where(d1 % 2 == 0, 1.0, -1.0)
-    lo_pow = parity * (-lo)[:, None] ** d1
-    return (hi[:, None] ** d1 - lo_pow) / d1
+    table = []
+    for c, lower, upper in zip(w.center.tolist(), w.lower.tolist(), w.upper.tolist()):
+        hi = w.bandwidth if upper < 1.0 else 1.0 - c
+        lo = w.bandwidth if lower > 0.0 else c  # magnitude of the lower offset
+        hi_pow = lo_pow = 1.0
+        row = []
+        for d1 in range(1, max_degree + 2):
+            hi_pow *= hi
+            lo_pow *= lo
+            row.append((hi_pow - (lo_pow if d1 % 2 == 0 else -lo_pow)) / d1)
+        table.append(row)
+    return table
 
 
 def objective_vector(w: Window, basis: BasisSpec) -> np.ndarray:
     """Integrals of all basis monomials over the window, in basis order.
 
-    Entry 0 is the window volume and is strictly positive.
+    The window is a box, so the integral of (t - x)**j is the product over
+    the axes r of the ``_axis_integrals`` entry [r][j_r], taken in axis
+    order. Entry 0 is the window volume and is strictly positive.
     """
     if basis.q != w.q:
         raise ValueError(f"basis has dimension {basis.q}, expected {w.q}")
     table = _axis_integrals(w, basis.max_degree)
-    exps = basis.exponent_matrix
-    v = np.ones(len(basis))
-    for r in range(basis.q):
-        v *= table[r, exps[:, r]]
-    return v
+    return np.array([prod(map(list.__getitem__, table, j)) for j in basis.indices])

@@ -1,7 +1,7 @@
 """Independent oracles the tests check production code against.
 
 Each oracle deliberately avoids the code path it verifies: quadrature instead
-of antiderivatives, exhaustive loops instead of vectorized counting, direct
+of antiderivatives, exact rationals instead of floating-point products, exhaustive loops instead of vectorized counting, direct
 rule evaluation instead of the incremental scan, vertex enumeration and scipy's
 HiGHS instead of the package's simplex.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -30,9 +31,42 @@ def shifted_monomial_row(basis, t, x) -> np.ndarray:
     """(t - x)**j for every basis index j, one coordinate product per monomial."""
     d = np.asarray(t, dtype=float) - np.asarray(x, dtype=float)
     return np.array(
-        [math.prod(d[r] ** e for r, e in enumerate(mi.exponents)) for mi in basis.indices],
+        [math.prod(d[r] ** e for r, e in enumerate(j)) for j in basis.indices],
         dtype=float,
     )
+
+
+def exact_monomial_row(basis, t, x) -> list[Fraction]:
+    """(t - x)**j for every basis index j, in exact rational arithmetic.
+
+    The float coordinates convert to fractions exactly, so the offsets t - x
+    and their powers carry no rounding.
+    """
+    d = [Fraction(a) - Fraction(b) for a, b in zip(t, x)]
+    return [math.prod((d[r] ** e for r, e in enumerate(j)), start=Fraction(1))
+            for j in basis.indices]
+
+
+def exact_window_integral(w, exponents) -> tuple[Fraction, Fraction]:
+    """Exact integrals of prod_r (t_r - x_r)**j_r and of its absolute value
+    over the window.
+
+    Per axis the box runs from x_r - h to x_r + h, clipped to 0 where the
+    window's lower end is 0 and to 1 where its upper end is 1 (the ends
+    ``clip_window`` chose), with every end exact. Over offsets [lo, hi] with
+    lo <= 0 <= hi, the antiderivative gives (hi**(e+1) - lo**(e+1)) / (e+1)
+    and (hi**(e+1) + |lo|**(e+1)) / (e+1) for the absolute value.
+    """
+    h = Fraction(w.bandwidth)
+    value = magnitude = Fraction(1)
+    for x, lower, upper, e in zip(w.center.tolist(), w.lower.tolist(),
+                                  w.upper.tolist(), exponents):
+        x = Fraction(x)
+        lo = -x if lower == 0.0 else -h
+        hi = 1 - x if upper == 1.0 else h
+        value *= (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
+        magnitude *= (hi ** (e + 1) + abs(lo) ** (e + 1)) / (e + 1)
+    return value, magnitude
 
 
 def brute_force_min_cube_count(points: np.ndarray, edge: float) -> int:

@@ -297,8 +297,8 @@ def test_criterion_07_window_integral_oracle():
         basis = enumerate_basis(q, int(rng.integers(0, 4)))
         w = clip_window(rng.uniform(0, 1, q), rng.uniform(0.02, 1.2))
         v = objective_vector(w, basis)
-        for entry, mi in zip(v, basis.indices):
-            oracle = quad_monomial_integral(w.lower, w.upper, w.center, mi.exponents)
+        for entry, j in zip(v, basis.indices):
+            oracle = quad_monomial_integral(w.lower, w.upper, w.center, j)
             worst = max(worst, abs(entry - oracle))
     report(
         7,

@@ -1,21 +1,23 @@
-"""Property tests of fit_at and the window index over random windows and
-datasets.
+"""Property tests of fit_at, the window index and monomial evaluation over
+random windows and datasets.
 
 Windows run from h=0.01 to 0.5 and degrees up to the largest the sweeps use
 (6 for q=1, 4 for q=2, 3 for q=3), so objective entries span many orders of
 magnitude; tolerances are relative to the size of the terms compared. The
 index and batched local-constant properties put points on and next to the
-window faces, where rounding decides membership.
+window faces, where rounding decides membership. Monomial values, window
+integrals and gradients are checked against exact rational arithmetic.
 """
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locfront.basis import eval_poly, vandermonde
+from locfront.basis import PolyCoeffs, enumerate_basis, eval_poly, poly_gradient, vandermonde
 from locfront.estimator import (
     Dataset,
     EmptyWindowError,
@@ -23,7 +25,9 @@ from locfront.estimator import (
     fit_at,
     fit_local_constant,
 )
-from locfront.windows import clip_window, contains_mask, window_rows
+from locfront.windows import clip_window, contains_mask, objective_vector, window_rows
+
+from oracles import exact_monomial_row, exact_window_integral
 
 MAX_DEGREE = {1: 6, 2: 4, 3: 3}
 
@@ -164,3 +168,69 @@ def test_batched_local_constant_equals_per_point_max(case):
     expected = [data.responses[mask].max() for mask in masks]
     assert fit_local_constant(data, centers, h).tolist() == expected
     assert fit_local_constant(data, centers[0], h) == expected[0]
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny  # below it products underflow and lose relative accuracy
+
+monomial_cases = st.integers(1, 3).flatmap(
+    lambda q: st.tuples(
+        st.just(q),
+        st.integers(0, MAX_DEGREE[q]),
+        st.floats(1e-3, 1.5),
+        st.sampled_from(["interior", "face", "corner"]),
+        st.integers(0, 2**32 - 1),
+    )
+)
+
+
+def make_monomial_case(q, degree, h, where, seed):
+    """A centre inside the cube, on a face (one axis at 0 or 1) or on a
+    corner, its window, points in the window (the centre and two window
+    corners among them) and random coefficients."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0, 1, q)
+    if where == "corner":
+        c = rng.integers(0, 2, q).astype(float)
+    elif where == "face":
+        c[rng.integers(0, q)] = rng.integers(0, 2)
+    w = clip_window(c, h)
+    pts = w.lower + (w.upper - w.lower) * rng.uniform(0, 1, (8, q))
+    pts = np.vstack([pts, c, w.lower, w.upper])
+    basis = enumerate_basis(q, degree)
+    return w, pts, PolyCoeffs(basis, rng.uniform(-1, 1, len(basis)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_cases)
+def test_monomials_match_exact_rationals(case):
+    w, pts, coeffs = make_monomial_case(*case)
+    basis, c = coeffs.basis, w.center
+    degrees = np.array([sum(j) for j in basis.indices])
+
+    exact_rows = [exact_monomial_row(basis, t, c) for t in pts]
+    exact = np.array(exact_rows, dtype=float)
+    bound = 2 * (degrees + 1) * EPS * np.abs(exact) + TINY
+    assert np.all(np.abs(vandermonde(basis, pts, c) - exact) <= bound)
+
+    v = objective_vector(w, basis)
+    unclipped = (w.lower > 0.0) & (w.upper < 1.0)
+    for entry, j, degree in zip(v, basis.indices, degrees):
+        value, magnitude = exact_window_integral(w, j)
+        assert abs(entry - float(value)) <= 8 * (degree + 1) * EPS * float(magnitude) + TINY
+        if any(e % 2 and free for e, free in zip(j, unclipped)):
+            assert entry == 0.0
+
+    # d/dt_r (t - x)**j = j_r (t - x)**(j - e_r), summed exactly
+    position = {j: k for k, j in enumerate(basis.indices)}
+    grad = poly_gradient(coeffs, pts, c)
+    for row, exact_row in zip(grad, exact_rows):
+        for r in range(basis.q):
+            terms = [
+                e * Fraction(cj) * exact_row[position[j[:r] + (e - 1,) + j[r + 1 :]]]
+                for j, cj in zip(basis.indices, coeffs.coeffs.tolist())
+                if (e := j[r])
+            ]
+            scale = float(sum(abs(term) for term in terms))
+            tol = (basis.max_degree + len(basis)) * EPS * scale + TINY
+            assert abs(row[r] - float(sum(terms))) <= tol
