@@ -69,7 +69,6 @@ from .synthetic import (
     gen_design,
     make_sample,
     sample_errors,
-    verify_design_density,
 )
 from .windows import Window, clip_window, objective_vector
 

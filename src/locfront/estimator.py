@@ -156,14 +156,16 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
 
     Raises
     ------
+    ValueError
+        ``x`` is not of shape (q,) or lies outside the unit cube.
     EmptyWindowError
         Window holds no data and ``cfg.empty_window == "error"``.
     UnboundedFitError
         LP unbounded at the requested degree and ``cfg.fallback == "error"``.
     """
-    xv = np.asarray(x, dtype=float).ravel()
-    if xv.shape[0] != data.q:
-        raise ValueError(f"point has dimension {xv.shape[0]}, expected {data.q}")
+    xv = np.asarray(x, dtype=float)
+    if xv.shape != (data.q,):
+        raise ValueError(f"point of shape {xv.shape}; expected ({data.q},)")
 
     h_eff = float(cfg.h)
     window = clip_window(xv, h_eff)
@@ -232,8 +234,9 @@ def fit_local_constant(data: Dataset, x, h: float):
     ``x`` is one point, shape (q,), or an (m, q) batch; one point returns a
     float and a batch an (m,) array, as ``eval_poly`` does. The batch is
     answered in blocks over the window index: one vectorised search gives
-    every centre's slab, each block gathers its centres' slabs padded to the
-    block's widest, and the membership test is ``windows.within``, the one
+    every centre's slab, each block takes its centres' slabs padded to the
+    block's widest from the index's sorted copy of the points, by position,
+    and the membership test is ``windows.within``, the one
     ``contains_mask`` applies. A block holds at most ``_BLOCK_CELLS``
     (centre, slab row) pairs, or one centre when a single slab is wider.
     Each value equals the maximum over the rows ``window_rows`` returns for
@@ -265,13 +268,15 @@ def fit_local_constant(data: Dataset, x, h: float):
         offsets = np.arange(widths[span].max())
         # a position past a centre's slab holds a row outside its window or,
         # clipped, repeats the last row; neither changes the maximum
-        rows = index.order.take(lo[span, None] + offsets, mode="clip")
-        inside = within(data.points.take(rows, axis=0), centers[span, None, :], h)
+        positions = np.minimum(lo[span, None] + offsets, data.n - 1)
+        points = np.moveaxis(index.coords.take(positions, axis=1), 0, -1)
+        inside = within(points, centers[span, None, :], h)
         empty = np.flatnonzero(~inside.any(axis=1))
         if empty.size:
             point = centers[start + empty[0]]
             raise EmptyWindowError(f"no data within bandwidth {h} of {point.tolist()}")
-        fitted[span] = np.where(inside, data.responses.take(rows), -np.inf).max(axis=1)
+        responses = data.responses.take(index.order.take(positions))
+        fitted[span] = np.where(inside, responses, -np.inf).max(axis=1)
     return float(fitted[0]) if single else fitted
 
 

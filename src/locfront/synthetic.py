@@ -131,44 +131,3 @@ def make_sample(design: np.ndarray, model: ModelSpec, errors) -> Dataset:
     y = eval_boundary(model, pts) + eps
     return Dataset(pts, y)
 
-
-def verify_design_density(points, h: float, d: float) -> int:
-    """Minimum point count over a shifted lattice of cubes with edge d*h.
-
-    The continuum condition quantifies over all axis-aligned cubes of edge
-    d*h inside the unit cube; this checks the finite family of cubes whose
-    lower corners run over a lattice of pitch d*h/2 (plus the flush-to-1
-    corner), which every continuum cube contains a half-edge member of.
-
-    Returns the minimum count; the edge d*h must lie in (0, 1].
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if not np.all((pts >= 0.0) & (pts <= 1.0)):
-        raise ValueError("points must lie in [0,1]^q")
-    edge = d * h
-    if not edge > 0.0:
-        raise ValueError(f"cube edge d*h must be positive, got {edge}")
-    if edge > 1.0 + 1e-12:
-        raise ValueError(f"cube edge d*h must be <= 1, got {edge}")
-    edge = min(edge, 1.0)
-    q = pts.shape[1]
-
-    if edge == 1.0:
-        corners = np.array([0.0])
-    else:
-        pitch = edge / 2.0
-        corners = np.arange(0.0, 1.0 - edge + 1e-12, pitch)
-        corners = np.unique(np.append(corners, 1.0 - edge))
-
-    eps = 1e-12
-    member = [
-        (pts[:, r][None, :] >= corners[:, None] - eps)
-        & (pts[:, r][None, :] <= corners[:, None] + edge + eps)
-        for r in range(q)
-    ]
-    # counts[c_1, ..., c_q] = sum_i prod_r member[r][c_r, i], label q being i
-    operands = []
-    for r in range(q):
-        operands += [member[r].astype(np.int64), [r, q]]
-    counts = np.einsum(*operands, list(range(q)))
-    return int(counts.min())

@@ -7,11 +7,13 @@ axis, which gives the LP objective vector in closed form.
 ``within`` is the one membership expression: a per-axis conjunction of
 ``abs(p_r - c_r) <= h``, which broadcasts over batches of centres.
 ``contains_mask`` applies it to one window. ``window_rows`` answers a window
-query on a read-only point array through a ``WindowIndex`` (the rows sorted
-on the first coordinate, built once per array): a binary search,
-``WindowIndex.slab``, cuts the slab of rows whose first coordinate can lie in
-the window, and only that slab goes through ``contains_mask``. A query costs
-O(log n + slab) instead of O(n) and returns exactly the rows a full-array
+query on a read-only point array through a ``WindowIndex``, built once per
+array: a copy of the points sorted on the first coordinate and stored axis by
+axis, so each axis of a run of neighbouring rows is one contiguous stretch of
+memory. A binary search, ``WindowIndex.slab``, cuts the positions of the rows
+whose first coordinate can lie in the window, and only that slab, a view of
+the copy, goes through ``contains_mask``. A query costs O(log n + slab)
+instead of O(n), gathers no rows, and returns exactly the rows a full-array
 mask selects. ``estimator.fit_local_constant`` runs the same slab search and
 ``within`` over a whole batch of centres at once.
 """
@@ -88,38 +90,47 @@ def contains_mask(w: Window, points: np.ndarray) -> np.ndarray:
     return within(pts, w.center, w.bandwidth)
 
 
+_SLAB_PAD = 4.0 * np.finfo(float).eps  # slab widening per unit of |c0| + h
+_FILL_ROWS = 4096  # rows gathered at a time while building a WindowIndex
+
+
 @dataclass(frozen=True)
 class WindowIndex:
-    """Rows of a read-only (n, q) point array sorted on the first coordinate.
+    """A read-only (n, q) point array in order of its first coordinate.
 
-    The index stays valid only while ``points`` is unchanged, which a
-    read-only array owned by its holder guarantees.
+    ``coords`` is a (q, n) C-ordered copy of the points in that order, axis by
+    axis: ``coords.T`` equals ``points[order]`` and row 0 holds the ascending
+    search keys. It costs n*q floats on top of ``points`` and ``order``. The
+    index stays valid only while ``points`` is unchanged, which a read-only
+    array owned by its holder guarantees.
     """
 
     points: np.ndarray
     order: np.ndarray = field(init=False)  # row numbers by ascending first coordinate
-    keys: np.ndarray = field(init=False)  # points[order, 0]
+    coords: np.ndarray = field(init=False)  # coords[r, k] = points[order[k], r]
 
     def __post_init__(self):
         order = np.argsort(self.points[:, 0])
-        keys = self.points[order, 0]
+        coords = np.empty(self.points.shape[::-1])
+        # filled in blocks of rows, so the build needs no n-long scratch array
+        for k in range(0, order.size, _FILL_ROWS):
+            coords[:, k:k + _FILL_ROWS] = self.points[order[k:k + _FILL_ROWS]].T
         order.setflags(write=False)
-        keys.setflags(write=False)
+        coords.setflags(write=False)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "coords", coords)
 
     def slab(self, c0, h: float):
-        """Positions [lo, hi) in ``keys`` of every row whose first coordinate
+        """Positions [lo, hi) in ``order`` of every row whose first coordinate
         can lie within h of c0, a scalar or an array of first coordinates.
 
         The interval [c0 - h, c0 + h] is widened by a few ulps, more than the
         rounding of both its ends and of the membership test's ``p - c``, so
         the slab holds every member.
         """
-        pad = 4.0 * np.finfo(float).eps * (np.abs(c0) + h)
-        lo = np.searchsorted(self.keys, c0 - h - pad, side="left")
-        hi = np.searchsorted(self.keys, c0 + h + pad, side="right")
-        return lo, hi
+        keys = self.coords[0]
+        pad = _SLAB_PAD * (abs(c0) + h)
+        return keys.searchsorted(c0 - h - pad, "left"), keys.searchsorted(c0 + h + pad, "right")
 
 
 def window_rows(w: Window, index: WindowIndex) -> np.ndarray:
@@ -130,8 +141,8 @@ def window_rows(w: Window, index: WindowIndex) -> np.ndarray:
     same float expression as a full scan.
     """
     lo, hi = index.slab(float(w.center[0]), w.bandwidth)
-    slab = index.order[lo:hi]
-    return np.sort(slab[contains_mask(w, index.points[slab])])
+    inside = contains_mask(w, index.coords[:, lo:hi].T)
+    return np.sort(index.order[lo:hi][inside])
 
 
 def _axis_integrals(w: Window, max_degree: int) -> list[list[float]]:

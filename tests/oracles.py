@@ -1,7 +1,7 @@
 """Independent oracles the tests check production code against.
 
 Each oracle deliberately avoids the code path it verifies: quadrature instead
-of antiderivatives, exact rationals instead of floating-point products, exhaustive loops instead of vectorized counting, direct
+of antiderivatives, exact rationals instead of floating-point products, direct
 rule evaluation instead of the incremental scan, vertex enumeration and scipy's
 HiGHS instead of the package's simplex.
 """
@@ -67,44 +67,6 @@ def exact_window_integral(w, exponents) -> tuple[Fraction, Fraction]:
         value *= (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
         magnitude *= (hi ** (e + 1) + abs(lo) ** (e + 1)) / (e + 1)
     return value, magnitude
-
-
-def brute_force_min_cube_count(points: np.ndarray, edge: float) -> int:
-    """Minimum point count over the shifted lattice of cubes with the given edge.
-
-    Same cube family as the production validator (pitch edge/2 plus the
-    flush-to-1 corner), counted with explicit loops.
-    """
-    pts = np.atleast_2d(points)
-    q = pts.shape[1]
-    if edge >= 1.0:
-        corners_1d = [0.0]
-    else:
-        pitch = edge / 2.0
-        corners_1d = []
-        c = 0.0
-        while c < 1.0 - edge + 1e-12:
-            corners_1d.append(c)
-            c += pitch
-        if not corners_1d or abs(corners_1d[-1] - (1.0 - edge)) > 1e-12:
-            corners_1d.append(1.0 - edge)
-
-    def cubes(prefix):
-        if len(prefix) == q:
-            yield prefix
-            return
-        for c in corners_1d:
-            yield from cubes(prefix + [c])
-
-    best = None
-    eps = 1e-12
-    for corner in cubes([]):
-        count = 0
-        for pt in pts:
-            if all(corner[r] - eps <= pt[r] <= corner[r] + edge + eps for r in range(q)):
-                count += 1
-        best = count if best is None else min(best, count)
-    return best
 
 
 def brute_force_ladder_index(grid_estimates, thresholds):

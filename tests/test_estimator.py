@@ -1,4 +1,6 @@
+import copy
 import pickle
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +20,7 @@ from locfront.estimator import (
     load_dataset,
     save_dataset,
 )
-from locfront.windows import clip_window, contains_mask, objective_vector
+from locfront.windows import clip_window, contains_mask, objective_vector, window_rows
 
 
 def sine_dataset(rng, n, q=1):
@@ -68,9 +70,14 @@ class TestFitAtExamples:
         assert res.value == 1.0
 
     def test_dimension_mismatch(self):
+        cfg = EstimatorConfig(beta_star=0, h=0.1)
         ds = Dataset(np.array([[0.5, 0.5]]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            fit_at(ds, [0.5], EstimatorConfig(beta_star=0, h=0.1))
+        for x in ([0.5], [[0.5, 0.5]], [[0.5], [0.5]], [[[0.5, 0.5]]]):
+            with pytest.raises(ValueError, match=re.escape(f"{np.shape(x)}; expected (2,)")):
+                fit_at(ds, x, cfg)
+        line = Dataset(np.array([[0.5]]), np.array([1.0]))
+        with pytest.raises(ValueError, match=re.escape("(); expected (1,)")):
+            fit_at(line, 0.5, cfg)
 
 
 class TestFitLocalConstant:
@@ -324,6 +331,22 @@ def full_mask_fit(ds, x, cfg):
 
 
 class TestWindowIndex:
+    def test_layout(self):
+        rng = np.random.default_rng(47)
+        ds = Dataset(rng.uniform(0, 1, (500, 3)), rng.normal(size=500))
+        index = ds.index
+        for array in (index.points, index.order, index.coords):
+            assert not array.flags.writeable
+        assert index.coords.flags.c_contiguous
+        assert np.all(np.diff(index.coords[0]) >= 0)
+        npt.assert_array_equal(index.coords.T, ds.points[index.order])
+        windows = [clip_window(c, 0.07) for c in rng.uniform(0, 1, (20, 3))]
+        expected = [window_rows(w, index) for w in windows]
+        for rebuilt in (pickle.loads(pickle.dumps(ds)), copy.copy(ds)):
+            assert rebuilt.index is not index
+            for w, rows in zip(windows, expected):
+                npt.assert_array_equal(window_rows(w, rebuilt.index), rows)
+
     def test_fit_grid_matches_full_mask_lps(self):
         rng = np.random.default_rng(46)
         pts = rng.uniform(0, 1, (3000, 2))

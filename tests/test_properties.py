@@ -81,19 +81,30 @@ def test_shifting_responses_shifts_only_the_value(case, shift):
     assert abs(moved.value - base.value - shift) <= 1e-9 * scale[0]
 
 
-index_cases = st.tuples(
-    st.integers(1, 3),
-    st.floats(1e-3, 1.5),
-    st.sampled_from(["interior", "edge", "corner"]),
-    st.integers(1, 150),
-    st.integers(0, 2**32 - 1),
+def _index_cases(h, spread):
+    return st.tuples(
+        st.integers(1, 3),
+        h,
+        st.sampled_from(["interior", "edge", "corner"]),
+        st.integers(1, 150),
+        st.integers(0, 2**32 - 1),
+        spread,
+    )
+
+
+# the second kind puts a small window into thousands of points, so its slab
+# is a thin slice of a large index
+index_cases = st.one_of(
+    _index_cases(st.floats(1e-3, 1.5), st.just(0)),
+    _index_cases(st.floats(1e-3, 0.05), st.integers(1000, 5000)),
 )
 
 
-def make_index_case(q, h, where, n, seed):
-    """Points of which a third sit on a face c +- h or one ulp either side of
-    it, and a third share a few first coordinates; centre inside the cube, on
-    an edge (all but the last axis at 0 or 1) or on a corner."""
+def make_index_case(q, h, where, n, seed, spread):
+    """n points around a centre, of which a third sit on a face c +- h or one
+    ulp either side of it and a third share a few first coordinates, then
+    ``spread`` points uniform over the cube; centre inside the cube, on an
+    edge (all but the last axis at 0 or 1) or on a corner."""
     rng = np.random.default_rng(seed)
     c = rng.uniform(0, 1, q)
     if where == "corner":
@@ -108,8 +119,8 @@ def make_index_case(q, h, where, n, seed):
     pts[on_face, axes[on_face]] = face[on_face]
     repeated = rng.random(n) < 1 / 3
     pts[repeated, 0] = rng.choice(pts[:, 0], 3)[rng.integers(0, 3, repeated.sum())]
-    pts = np.clip(pts, 0.0, 1.0)
-    return Dataset(pts, np.zeros(n)), clip_window(c, h)
+    pts = np.vstack([np.clip(pts, 0.0, 1.0), rng.uniform(0, 1, (spread, q))])
+    return Dataset(pts, np.zeros(n + spread)), clip_window(c, h)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -11,10 +11,7 @@ from locfront.synthetic import (
     gen_design,
     make_sample,
     sample_errors,
-    verify_design_density,
 )
-
-from oracles import brute_force_min_cube_count
 
 
 class TestGenDesign:
@@ -145,36 +142,3 @@ class TestMakeSample:
         npt.assert_array_equal(loaded.points, ds.points)
         npt.assert_array_equal(loaded.responses, ds.responses)
 
-
-class TestDesignDensity:
-    def test_equidistant_grid_q1(self):
-        pts = gen_design(DesignSpec("equidistant_grid", q=1, n=10))
-        count = verify_design_density(pts, h=0.35, d=1.0)
-        assert count == brute_force_min_cube_count(pts, 0.35) == 3
-
-    def test_single_point_small_cube(self):
-        assert verify_design_density(np.array([[0.5, 0.5]]), h=0.05, d=1.0) == 0
-
-    def test_whole_cube(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0, 1, (40, 2))
-        assert verify_design_density(pts, h=1.0, d=1.0) == 40
-
-    @pytest.mark.parametrize("q", [1, 2, 3, 4])
-    def test_matches_brute_force(self, q):
-        rng = np.random.default_rng(30 + q)
-        pts = rng.uniform(0, 1, (25, q))
-        for edge in [0.3, 0.55, 1.0]:
-            fast = verify_design_density(pts, h=edge, d=1.0)
-            slow = brute_force_min_cube_count(pts, edge)
-            assert fast == slow
-
-    def test_degenerate_edge(self):
-        with pytest.raises(ValueError):
-            verify_design_density(np.array([[0.5]]), h=0.0, d=1.0)
-        with pytest.raises(ValueError):
-            verify_design_density(np.array([[0.5]]), h=1.0, d=1.5)
-        with pytest.raises(ValueError):
-            verify_design_density(np.array([[0.5]]), h=float("nan"), d=1.0)
-        with pytest.raises(ValueError):
-            verify_design_density(np.array([[float("nan")]]), h=0.5, d=1.0)
