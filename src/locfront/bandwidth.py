@@ -110,11 +110,6 @@ class AdaptiveResult:
     trigger: tuple[int, int] | None
     alpha_hat: float
 
-    @property
-    def ladder_top(self) -> int:
-        """K: the largest index eligible for selection."""
-        return self.bandwidths.shape[0] - 2
-
     def diagnostics_rows(self) -> list[dict]:
         """One row per ladder index: k, h_k, threshold, sup-delta to the next fit."""
         rows = []

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lp
 from .basis import PolyCoeffs, enumerate_basis, vandermonde
-from .windows import WindowIndex, clip_window, objective_vector, window_rows, within
+from .windows import WindowIndex, clip_window, objective_vector, window_maxima, window_rows
 
 
 class EmptyWindowError(ValueError):
@@ -46,7 +46,6 @@ class DatasetFormatError(ValueError):
 _FALLBACKS = ("error", "degrade_degree")
 _EMPTY_POLICIES = ("error", "expand")
 _EXPAND_FACTOR = 1.5  # bandwidth growth per step of the empty-window policy
-_BLOCK_CELLS = 1 << 16  # (centre, slab row) pairs per block of fit_local_constant
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,20 +167,15 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
         raise ValueError(f"point of shape {xv.shape}; expected ({data.q},)")
 
     h_eff = float(cfg.h)
-    window = clip_window(xv, h_eff)
-    rows = window_rows(window, data.index)
-    expanded = False
-    if rows.size == 0:
+    # h >= 1 covers the whole cube, so this terminates for nonempty data
+    while True:
+        window = clip_window(xv, h_eff)
+        rows = window_rows(window, data.index)
+        if rows.size:
+            break
         if cfg.empty_window == "error":
-            raise EmptyWindowError(
-                f"no data within bandwidth {cfg.h} of {xv.tolist()}"
-            )
-        # h >= 1 covers the whole cube, so this terminates for nonempty data
-        while rows.size == 0:
-            h_eff *= _EXPAND_FACTOR
-            window = clip_window(xv, h_eff)
-            rows = window_rows(window, data.index)
-        expanded = True
+            raise EmptyWindowError(f"no data within bandwidth {cfg.h} of {xv.tolist()}")
+        h_eff *= _EXPAND_FACTOR
 
     pts = data.points[rows]
     y = data.responses[rows]
@@ -203,7 +197,7 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
             coeffs[0] += shift
             if degree < cfg.beta_star:
                 status = "degraded"
-            elif expanded:
+            elif h_eff != cfg.h:  # the window grew
                 status = "expanded"
             else:
                 status = "exact"
@@ -232,14 +226,9 @@ def fit_local_constant(data: Dataset, x, h: float):
     """Maximum response inside the clipped window around x; no LP involved.
 
     ``x`` is one point, shape (q,), or an (m, q) batch; one point returns a
-    float and a batch an (m,) array, as ``eval_poly`` does. The batch is
-    answered in blocks over the window index: one vectorised search gives
-    every centre's slab, each block takes its centres' slabs padded to the
-    block's widest from the index's sorted copy of the points, by position,
-    and the membership test is ``windows.within``, the one
-    ``contains_mask`` applies. A block holds at most ``_BLOCK_CELLS``
-    (centre, slab row) pairs, or one centre when a single slab is wider.
-    Each value equals the maximum over the rows ``window_rows`` returns for
+    float and a batch an (m,) array, as ``eval_poly`` does. The maxima come
+    from one ``windows.window_maxima`` query over the dataset's index, so
+    each value equals the maximum over the rows ``window_rows`` returns for
     that centre.
 
     Raises
@@ -252,31 +241,10 @@ def fit_local_constant(data: Dataset, x, h: float):
     centers = xv.reshape(1, -1) if single else xv
     if centers.ndim != 2 or centers.shape[1] != data.q:
         raise ValueError(f"points of shape {xv.shape}; expected ({data.q},) or (m, {data.q})")
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    outside = ~np.all((centers >= 0) & (centers <= 1), axis=1)
-    if outside.any():
-        point = centers[outside.argmax()]
-        raise ValueError(f"window center {point.tolist()} outside the unit cube")
-    index = data.index
-    lo, hi = index.slab(centers[:, 0], h)
-    widths = hi - lo
-    block = max(1, _BLOCK_CELLS // max(1, int(widths.max(initial=0))))
-    fitted = np.empty(centers.shape[0])
-    for start in range(0, centers.shape[0], block):
-        span = slice(start, start + block)
-        offsets = np.arange(widths[span].max())
-        # a position past a centre's slab holds a row outside its window or,
-        # clipped, repeats the last row; neither changes the maximum
-        positions = np.minimum(lo[span, None] + offsets, data.n - 1)
-        points = np.moveaxis(index.coords.take(positions, axis=1), 0, -1)
-        inside = within(points, centers[span, None, :], h)
-        empty = np.flatnonzero(~inside.any(axis=1))
-        if empty.size:
-            point = centers[start + empty[0]]
-            raise EmptyWindowError(f"no data within bandwidth {h} of {point.tolist()}")
-        responses = data.responses.take(index.order.take(positions))
-        fitted[span] = np.where(inside, responses, -np.inf).max(axis=1)
+    fitted = window_maxima(data.index, data.responses, centers, h)
+    if fitted.min(initial=0.0) == -np.inf:  # responses are finite: an empty window
+        point = centers[fitted.argmin()]
+        raise EmptyWindowError(f"no data within bandwidth {h} of {point.tolist()}")
     return float(fitted[0]) if single else fitted
 
 

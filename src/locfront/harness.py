@@ -113,6 +113,12 @@ class ExperimentSpec:
             raise ValueError("n_list must be nonempty")
         if not self.beta_star_list:
             raise ValueError("beta_star_list must be nonempty")
+        if self.q < 1:
+            raise ValueError(f"q must be >= 1, got {self.q}")
+        for name, values, least in (("n_list (n)", self.n_list, 1),
+                                    ("beta_star_list (beta_star)", self.beta_star_list, 0)):
+            if min(values) < least:
+                raise ValueError(f"{name} entries must be >= {least}, got {min(values)}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.master_seed < 0:

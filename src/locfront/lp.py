@@ -20,7 +20,8 @@ max-norm (b = c / d) and with v and y scaled to unit max-norm; solutions and
 certificates are mapped back to the caller's scale.
 
 Cycling on degenerate instances (collinear data points) is handled by
-switching to Bland's rule after a budget of degenerate pivots.
+switching to Bland's rule after a run of degenerate pivots that is always
+shorter than the pivot budget (``_bland_after``).
 
 The tableau has only p + 1 <= 11 rows, so a pivot step is cheap arithmetic
 wrapped in call overhead. The loop keeps that overhead small: the entering
@@ -116,6 +117,11 @@ def _pivot(T: np.ndarray, basis: list[int], r: int, k: int, work: np.ndarray) ->
     basis[r] = k
 
 
+def _bland_after(size: int, max_iter: int) -> int:
+    """Degenerate pivots in a row before Bland's rule: 50 per row and column, below max_iter."""
+    return min(50 * size, max_iter // 2)
+
+
 def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarray) -> str:
     """Iterate to optimality on a tableau with nonnegative rhs column.
 
@@ -123,14 +129,14 @@ def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarra
     pivot budget. Dantzig entering rule; the ratio test runs over the row
     entries above TOL, and among the rows whose ratio is within TOL of the
     smallest it takes the largest pivot entry (the first on ties). After
-    more than 50 times the tableau's rows plus columns degenerate pivots in
-    a row it switches to Bland's rule: the first improving column enters and
-    the tied row with the lowest basic index leaves. ``work`` is the pivot
-    buffer, of T's shape.
+    more than ``_bland_after`` degenerate pivots in a row it switches to
+    Bland's rule: the first improving column enters and the tied row with
+    the lowest basic index leaves. ``work`` is the pivot buffer, of T's
+    shape.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
-    bland_after = 50 * (m + n)
+    bland_after = _bland_after(m + n, max_iter)
     degenerate = 0
     bland = False
     costs = T[-1, :n]

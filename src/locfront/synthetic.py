@@ -59,13 +59,6 @@ class ErrorSpec:
         if self.kind == "exponential_unit":
             object.__setattr__(self, "alpha", 1.0)
 
-    def survival(self, y) -> np.ndarray:
-        """P(eps > y) for y < 0, i.e. the mass of magnitudes below |y|."""
-        if self.kind == "zero":
-            raise ValueError("the degenerate zero law has no tail")
-        z = np.abs(np.asarray(y, dtype=float))
-        return -np.expm1(-(z**self.alpha))
-
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -4,18 +4,18 @@ A window is the max-norm ball of radius h around a point x, intersected with
 [0,1]^q. The integral of any shifted monomial over that box factorizes per
 axis, which gives the LP objective vector in closed form.
 
-``within`` is the one membership expression: a per-axis conjunction of
-``abs(p_r - c_r) <= h``, which broadcasts over batches of centres.
-``contains_mask`` applies it to one window. ``window_rows`` answers a window
-query on a read-only point array through a ``WindowIndex``, built once per
-array: a copy of the points sorted on the first coordinate and stored axis by
-axis, so each axis of a run of neighbouring rows is one contiguous stretch of
-memory. A binary search, ``WindowIndex.slab``, cuts the positions of the rows
-whose first coordinate can lie in the window, and only that slab, a view of
-the copy, goes through ``contains_mask``. A query costs O(log n + slab)
-instead of O(n), gathers no rows, and returns exactly the rows a full-array
-mask selects. ``estimator.fit_local_constant`` runs the same slab search and
-``within`` over a whole batch of centres at once.
+This module owns every window query and the index layout behind it, so
+the estimator asks for rows or maxima and never reads the layout.
+``check_centers`` is the one check of the bandwidth and the centres.
+``within`` is the one membership expression, a per-axis conjunction of
+``abs(p_r - c_r) <= h`` that broadcasts over batches of centres;
+``contains_mask`` applies it to one window. A ``WindowIndex``, built once
+per read-only point array, copies the points sorted on the first coordinate,
+axis by axis, and its binary search ``slab`` cuts the positions of the rows
+whose first coordinate can lie in a window. ``window_rows`` tests only that
+slab, a view of the copy, so a query costs O(log n + slab) instead of O(n)
+and returns exactly the rows a full-array mask selects. ``window_maxima``
+runs the same search and ``within`` over a whole batch of centres at once.
 """
 
 from __future__ import annotations
@@ -41,29 +41,30 @@ class Window:
     def q(self) -> int:
         return self.center.shape[0]
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
+
+def check_centers(centers: np.ndarray, h: float) -> None:
+    """Raise ValueError unless h > 0 and each centre (row) is in [0,1]^q; NaN fails."""
+    if not h > 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not (centers.min(initial=0.0) >= 0.0 and centers.max(initial=1.0) <= 1.0):
+        rows = centers.reshape(-1, centers.shape[-1])
+        outside = ~np.all((rows >= 0) & (rows <= 1), axis=1)
+        raise ValueError(f"window center {rows[outside.argmax()].tolist()} outside the unit cube")
 
 
 def clip_window(x, h: float) -> Window:
     """Window of half-edge h around x, clipped to [0,1]^q.
 
     Raises ValueError unless x lies in the unit cube and h > 0, so NaN fails
-    both. A bandwidth h >= 1 yields the whole cube.
+    both. A bandwidth h >= 1 yields the whole cube. The window holds
+    read-only copies of its arrays; the caller's x is left as it was.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim == 0:
-        xv = xv.reshape(1)
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    if not np.all((xv >= 0) & (xv <= 1)):
-        raise ValueError(f"window center {xv.tolist()} outside the unit cube")
+    xv = np.array(x, dtype=float, ndmin=1)
+    check_centers(xv, h)
     lower = np.maximum(xv - h, 0.0)
     upper = np.minimum(xv + h, 1.0)
-    lower.setflags(write=False)
-    upper.setflags(write=False)
-    xv.setflags(write=False)
+    for array in (xv, lower, upper):
+        array.setflags(write=False)
     return Window(center=xv, bandwidth=float(h), lower=lower, upper=upper)
 
 
@@ -92,6 +93,7 @@ def contains_mask(w: Window, points: np.ndarray) -> np.ndarray:
 
 _SLAB_PAD = 4.0 * np.finfo(float).eps  # slab widening per unit of |c0| + h
 _FILL_ROWS = 4096  # rows gathered at a time while building a WindowIndex
+_BLOCK_CELLS = 1 << 16  # (centre, slab row) pairs per block of window_maxima
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,8 @@ class WindowIndex:
     axis: ``coords.T`` equals ``points[order]`` and row 0 holds the ascending
     search keys. It costs n*q floats on top of ``points`` and ``order``. The
     index stays valid only while ``points`` is unchanged, which a read-only
-    array owned by its holder guarantees.
+    array owned by its holder guarantees. Only ``window_rows`` and
+    ``window_maxima`` read the layout.
     """
 
     points: np.ndarray
@@ -143,6 +146,34 @@ def window_rows(w: Window, index: WindowIndex) -> np.ndarray:
     lo, hi = index.slab(float(w.center[0]), w.bandwidth)
     inside = contains_mask(w, index.coords[:, lo:hi].T)
     return np.sort(index.order[lo:hi][inside])
+
+
+def window_maxima(index: WindowIndex, values: np.ndarray, centers: np.ndarray, h: float):
+    """Per centre of the (m, q) batch, the maximum of ``values`` (finite, one
+    per indexed point) over the rows ``window_rows`` returns, or -inf if none.
+
+    One vectorised search gives every centre's slab. A block of centres, at
+    most ``_BLOCK_CELLS`` (centre, slab row) pairs or one centre, takes their
+    slabs padded to the block's widest, at least one row, from the sorted
+    copy by position and tests them with ``within``.
+    """
+    check_centers(centers, h)
+    lo, hi = index.slab(centers[:, 0], h)
+    widths = hi - lo
+    block = max(1, _BLOCK_CELLS // max(1, int(widths.max(initial=0))))
+    maxima = np.empty(centers.shape[0])
+    for start in range(0, centers.shape[0], block):
+        span = slice(start, start + block)
+        offsets = np.arange(max(1, widths[span].max()))
+        # a position past a centre's slab holds a row outside its window,
+        # and one clipped to the last row repeats a row of the slab or lies
+        # below an empty slab at the end; none changes the maximum
+        positions = np.minimum(lo[span, None] + offsets, index.order.size - 1)
+        points = np.moveaxis(index.coords.take(positions, axis=1), 0, -1)
+        inside = within(points, centers[span, None, :], h)
+        gathered = values.take(index.order.take(positions))
+        maxima[span] = np.where(inside, gathered, -np.inf).max(axis=1)
+    return maxima
 
 
 def _axis_integrals(w: Window, max_degree: int) -> list[list[float]]:

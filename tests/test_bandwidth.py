@@ -151,7 +151,7 @@ class TestAdaptiveBandwidth:
         data = sine_data(400, seed=1)
         cfg = AdaptiveConfig(grid=self.grid(), s=0.5, rho=1.25)
         res = adaptive_bandwidth(data, 1, cfg)
-        K = res.ladder_top
+        K = res.bandwidths.shape[0] - 2
         expected_K = math.floor(0.5 * math.log(400) / math.log(1.25))
         assert K == expected_K
         assert res.bandwidths.shape == (K + 2,)
@@ -175,7 +175,7 @@ class TestAdaptiveBandwidth:
         data = sine_data(200, seed=3)
         cfg = AdaptiveConfig(grid=self.grid(7), threshold_constant=float("inf"))
         res = adaptive_bandwidth(data, 0, cfg)
-        assert res.k_hat == res.ladder_top
+        assert res.k_hat == res.bandwidths.shape[0] - 2
         assert res.trigger is None
 
     def test_zero_thresholds_select_bottom(self):

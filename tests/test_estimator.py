@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from locfront import estimator, lp
+from locfront import lp, windows
 from locfront.basis import enumerate_basis, eval_poly, vandermonde
 from locfront.estimator import (
     Dataset,
@@ -95,9 +95,13 @@ class TestFitLocalConstant:
         assert fit_local_constant(ds, [0.0], 0.1) == 2.0
 
     def test_empty_window(self):
-        ds = Dataset(np.array([[0.9]]), np.array([1.0]))
-        with pytest.raises(EmptyWindowError):
-            fit_local_constant(ds, [0.1], 0.05)
+        # every slab is empty: below the first key, then past the last one
+        for point, center in [(0.9, 0.1), (0.1, 0.9)]:
+            ds = Dataset(np.array([[point]]), np.array([1.0]))
+            with pytest.raises(EmptyWindowError):
+                fit_local_constant(ds, [center], 0.05)
+            with pytest.raises(EmptyWindowError):
+                fit_local_constant(ds, [[center], [center]], 0.05)
 
     def test_batch_returns_array_single_point_float(self):
         ds = Dataset(np.array([[0.45], [0.5], [0.55]]), np.array([0.2, 0.7, 0.5]))
@@ -128,7 +132,7 @@ class TestFitLocalConstant:
         centers = rng.uniform(0, 1, (500, 2))
         h = 0.6
         lo, hi = ds.index.slab(centers[:, 0], h)
-        assert centers.shape[0] * int((hi - lo).max()) > 4 * estimator._BLOCK_CELLS
+        assert centers.shape[0] * int((hi - lo).max()) > 4 * windows._BLOCK_CELLS
         expected = [
             ds.responses[contains_mask(clip_window(c, h), ds.points)].max() for c in centers
         ]

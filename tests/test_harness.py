@@ -383,6 +383,9 @@ class TestConfigParsing:
             ({"adaptive_constant": "nan"}, "threshold_constant"),
             ({"adaptive_hill_order": "0"}, "adaptive_hill_order"),
             ({"adaptive_hill_order": "-4"}, "adaptive_hill_order"),
+            ({"q": "0"}, "q must be >= 1"),
+            ({"n": "50, 0"}, r"\(n\) entries must be >= 1, got 0"),
+            ({"beta_star": "1, -1"}, r"\(beta_star\) entries must be >= 0, got -1"),
         ],
     )
     def test_build_errors(self, overrides, match):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locfront import lp
 from locfront.basis import enumerate_basis, vandermonde
 from locfront.lp import (
     Infeasible,
@@ -78,6 +79,41 @@ class TestSolveExamples:
         out = solve(LpProblem([0.2, 0.0], A, y))
         assert isinstance(out, Optimal)
         npt.assert_allclose(out.solution, [1.5, 5.0], atol=1e-7)
+
+
+class TestBlandSwitch:
+    # three degenerate pivots in a row at the start of phase 1
+    DEGENERATE = LpProblem(
+        [0.0, 0.0, -2.0, 0.0],
+        [[0.0, -1.0, 0.0, 0.0], [-1.0, -1.0, 0.0, 2.0], [2.0, -2.0, 1.0, -1.0],
+         [1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -2.0, -1.0], [2.0, 0.0, 1.0, 1.0]],
+        [2.0, 0.0, -1.0, -2.0, -2.0, 1.0],
+    )
+
+    def test_bland_branch_reaches_the_default_outcome(self, monkeypatch):
+        pivots = []
+        pivot = lp._pivot
+
+        def recording(T, basis, r, k, work):
+            pivots.append((r, k))
+            pivot(T, basis, r, k, work)
+
+        monkeypatch.setattr(lp, "_pivot", recording)
+        default = solve(self.DEGENERATE)
+        default_pivots = pivots[:]
+        pivots.clear()
+        # a budget of 5 lowers the switch to 2 degenerate pivots in a row
+        bland = solve(self.DEGENERATE, max_iter=5)
+        assert pivots != default_pivots  # Bland's rule chose other pivots
+        assert isinstance(default, Optimal) and isinstance(bland, Optimal)
+        assert bland.solution.tobytes() == default.solution.tobytes()
+        assert bland.objective_value == default.objective_value
+
+    def test_switch_comes_before_the_budget(self):
+        for size in range(2, 5001):  # p = 1 coefficient, m = size - 1 rows
+            prob = LpProblem([1.0], np.ones((size - 1, 1)), np.zeros(size - 1))
+            budget = lp._pivot_budget(prob, None)
+            assert lp._bland_after(size, budget) < budget
 
 
 class TestProblemValidation:

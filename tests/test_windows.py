@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from locfront.basis import enumerate_basis
+from locfront.estimator import Dataset, EstimatorConfig, fit_at
 from locfront.windows import clip_window, contains_mask, objective_vector
 
 from oracles import quad_monomial_integral
@@ -23,6 +24,19 @@ class TestClipWindow:
         w = clip_window((0.5,), 2.0)
         npt.assert_array_equal(w.lower, [0.0])
         npt.assert_array_equal(w.upper, [1.0])
+
+    def test_leaves_the_callers_point_writable(self):
+        pt = np.array([0.5, 0.5])
+        w = clip_window(pt, 0.1)
+        assert pt.flags.writeable
+        pt[0] = 0.3
+        assert w.center.tolist() == [0.5, 0.5]
+        npt.assert_array_equal(w.lower, [0.4, 0.4])
+        for array in (w.center, w.lower, w.upper):
+            assert not array.flags.writeable
+        fit_at(Dataset(np.array([[0.3, 0.5]]), np.array([1.0])), pt, EstimatorConfig(0, 0.1))
+        assert pt.flags.writeable
+        pt[1] = 0.2
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -117,7 +131,7 @@ class TestObjectiveVector:
             w = clip_window(rng.uniform(0, 1, q), rng.uniform(0.01, 1.2))
             basis = enumerate_basis(q, int(rng.integers(0, 4)))
             v = objective_vector(w, basis)
-            assert v[0] == pytest.approx(w.volume, rel=1e-14)
+            assert v[0] == pytest.approx(np.prod(w.upper - w.lower), rel=1e-14)
             assert v[0] > 0
 
     def test_unclipped_odd_entries_exactly_zero(self):
