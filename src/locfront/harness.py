@@ -39,6 +39,7 @@ from .synthetic import (
     ModelSpec,
     eval_boundary,
     gen_design,
+    lattice_side,
     make_sample,
     sample_errors,
 )
@@ -129,6 +130,11 @@ class ExperimentSpec:
             raise ValueError("grid evaluation needs at least 1 point per axis")
         if self.design not in ("random_uniform", "equidistant_grid"):
             raise ValueError("design must be 'random_uniform' or 'equidistant_grid'")
+        off_lattice = [n for n in self.n_list
+                       if self.design == "equidistant_grid" and lattice_side(n, self.q) is None]
+        if off_lattice:
+            raise ValueError(f"n_list (n) entries must be perfect q-th powers (q = {self.q}) "
+                             f"for design = equidistant_grid, got {off_lattice[0]}")
 
 
 @dataclass(frozen=True)
@@ -151,21 +157,13 @@ class ResultTable:
         return sorted(self.cells)
 
     def rows(self) -> list[dict]:
-        out = []
-        for beta_star, n in self.sorted_keys():
-            cell = self.cells[(beta_star, n)]
-            out.append(
-                {
-                    "beta_star": beta_star,
-                    "n": n,
-                    "mse": cell.mse,
-                    "mc_stderr": cell.mc_stderr,
-                    "n_exact": cell.n_exact,
-                    "n_degraded": cell.n_degraded,
-                    "n_expanded": cell.n_expanded,
-                }
-            )
-        return out
+        """One dict per cell in key order: beta_star, n, then the cell's fields
+        but its replication count."""
+        return [
+            {"beta_star": b, "n": n,
+             **{k: v for k, v in asdict(self.cells[(b, n)]).items() if k != "replications"}}
+            for b, n in self.sorted_keys()
+        ]
 
 
 def default_workers() -> int:
@@ -375,10 +373,7 @@ def write_result_csv(table: ResultTable, path) -> None:
     with open(path, "w") as fh:
         fh.write(RESULT_CSV_HEADER + "\n")
         for row in table.rows():
-            fh.write(
-                f"{row['beta_star']},{row['n']},{row['mse']!r},{row['mc_stderr']!r},"
-                f"{row['n_exact']},{row['n_degraded']},{row['n_expanded']}\n"
-            )
+            fh.write(",".join(map(repr, row.values())) + "\n")
 
 
 def _spec_echo(spec: ExperimentSpec) -> dict:
@@ -416,9 +411,7 @@ def write_adaptive_diagnostics_csv(result: AdaptiveResult, path) -> None:
     with open(path, "w") as fh:
         fh.write("k,h_k,zeta_k,max_delta_next\n")
         for row in result.diagnostics_rows():
-            fh.write(
-                f"{row['k']},{row['h_k']!r},{row['zeta_k']!r},{row['max_delta_next']!r}\n"
-            )
+            fh.write(",".join(map(repr, row.values())) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,11 @@ Cycling on degenerate instances (collinear data points) is handled by
 switching to Bland's rule after a run of degenerate pivots that is always
 shorter than the pivot budget (``_bland_after``).
 
-The tableau has only p + 1 <= 11 rows, so a pivot step is cheap arithmetic
-wrapped in call overhead. The loop keeps that overhead small: the entering
-column is one ``argmin`` over the cost row, the ratio test and both of its
-tie-breaks run in Python floats over the p rows, and the rank-1 update writes
-into one work buffer allocated per solve. The floats are IEEE doubles, as
-numpy's, so every step takes the pivot a vectorized ratio test would take.
+The tableau has only p + 1 <= 11 rows, so a step costs numpy calls more
+than arithmetic, and the solver makes few: the entering column is one
+``argmin`` over the cost row, the ratio test and its tie-breaks run in Python
+floats (IEEE doubles, as numpy's) over the p rows, a pivot is four array
+steps into one work buffer (``_pivot``), and the tableau is written in place.
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ class LpProblem:
             raise ValueError(f"objective length {v.shape[0]} != {p} columns")
         if y.shape[0] != m:
             raise ValueError(f"rhs length {y.shape[0]} != {m} rows")
-        if not (np.isfinite(v).all() and np.isfinite(A).all() and np.isfinite(y).all()):
+        # counting is cheaper than isfinite(x).all(), a reduction, at this size
+        if not all(np.count_nonzero(np.isfinite(x)) == x.size for x in (v, A, y)):
             raise ValueError("problem data must be finite")
         object.__setattr__(self, "objective", v)
         object.__setattr__(self, "constraints", A)
@@ -103,17 +103,19 @@ LpOutcome = Optimal | Unbounded | Infeasible
 def _pivot(T: np.ndarray, basis: list[int], r: int, k: int, work: np.ndarray) -> None:
     """Pivot T on (r, k) in place; ``work`` is a scratch buffer of T's shape.
 
-    Every row i != r loses T[i, k] times the normalized row r. Row r loses
-    0 * itself, as in an update with the pivot entry zeroed, so the signs of
-    its zero entries come out as in a plain outer-product update.
+    Four steps: scale row r, copy column k with its row-r entry set to 0,
+    broadcast their outer product into ``work``, subtract it. So row r loses
+    0 * itself, as in an update with the pivot entry zeroed, and its zeros
+    keep the signs of a plain outer-product update. Column k needs no reset
+    to be exactly e_r: T[r, k] is x / x = 1 less 0 * 1, and every other entry
+    a becomes a - a * 1 = +0.
     """
-    T[r] /= T[r, k]
-    np.multiply(T[:, k, None], T[r], out=work)
-    work[r] *= 0.0
+    row = T[r]
+    row /= row[k]
+    col = T[:, k, None].copy()
+    col[r] = 0.0
+    np.multiply(col, row, out=work)
     T -= work
-    # keep the pivot column an exact unit vector
-    T[:, k] = 0.0
-    T[r, k] = 1.0
     basis[r] = k
 
 
@@ -140,6 +142,9 @@ def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarra
     degenerate = 0
     bland = False
     costs = T[-1, :n]
+    # views into T, which every pivot updates in place
+    columns = T[:m].T
+    rhs_column = columns[n]
     for _ in range(max_iter):
         if bland:
             entering = np.flatnonzero(costs < -TOL)
@@ -150,8 +155,8 @@ def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarra
             k = int(costs.argmin())
             if costs[k] >= -TOL:
                 return "optimal"
-        col = T[:m, k].tolist()
-        rhs = T[:m, n].tolist()
+        col = columns[k].tolist()
+        rhs = rhs_column.tolist()
         ratios = {i: rhs[i] / c for i, c in enumerate(col) if c > TOL}
         if not ratios:
             # no entry above TOL; an overflowed, infinite theta is not this test
@@ -175,28 +180,16 @@ def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarra
     )
 
 
-@dataclass(frozen=True)
-class _Scaled:
-    """The dual data A^T, v, y at unit max-norm, and the scales to undo."""
-
-    At: np.ndarray
-    v: np.ndarray
-    y: np.ndarray
-    col_scale: np.ndarray
-    v_scale: float
-    y_scale: float
-
-    @classmethod
-    def of(cls, prob: LpProblem) -> "_Scaled":
-        d = np.abs(prob.constraints).max(axis=0)
+def _scales(prob: LpProblem):
+    """(d, v, y, v_scale, y_scale): the scaled dual is (A / d)^T g = v with v
+    and y at unit max-norm, and its solution c maps back as c * y_scale / d."""
+    d = np.abs(prob.constraints).max(axis=0)
+    if 0.0 in d.tolist():  # a zero column is rare; the list test is cheaper than the mask
         d[d == 0.0] = 1.0
-        w = prob.objective / d
-        v_scale = float(np.abs(w).max()) or 1.0
-        y_scale = float(np.abs(prob.rhs).max()) or 1.0
-        return cls(
-            (prob.constraints / d).T, w / v_scale, prob.rhs / y_scale,
-            d, v_scale, y_scale,
-        )
+    w = prob.objective / d
+    v_scale = max(map(abs, w.tolist())) or 1.0
+    y_scale = float(np.abs(prob.rhs).max()) or 1.0
+    return d, w / v_scale, prob.rhs / y_scale, v_scale, y_scale
 
 
 def _pivot_budget(prob: LpProblem, max_iter: int | None) -> int:
@@ -204,26 +197,28 @@ def _pivot_budget(prob: LpProblem, max_iter: int | None) -> int:
     return 500 + 20 * (m + p) if max_iter is None else max_iter
 
 
-def _phase1(s: _Scaled, max_iter: int, work: np.ndarray):
-    """Basic solution of {g >= 0 : A^T g = v} in the scaled problem.
-
-    ``work`` is the pivot buffer, shape (p + 1, m + 1).
+def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int):
+    """Basic solution of {g >= 0 : (A / d)^T g = v} in the scaled problem.
 
     Returns None when the set is empty. Otherwise returns (T, basis, kept):
     the tableau with its phase-1 cost row, the basic column of each tableau
     row, and the equality rows left after dropping the redundant ones, which
-    are linear combinations of the kept rows.
+    are linear combinations of the kept rows. When no row is dropped, T is
+    the tableau the pivots ran on and ``kept`` is the full slice.
     """
-    p, m = s.At.shape
+    m, p = A.shape
     # Rows are oriented to a nonnegative rhs and start on artificial basics,
     # numbered m..m+p-1. Their columns are not stored: an artificial that
     # leaves the basis never re-enters, and none is needed afterwards.
-    sign = np.where(s.v < 0.0, -1.0, 1.0)
+    sign = np.array([-1.0 if c < 0.0 else 1.0 for c in v.tolist()])
     T = np.empty((p + 1, m + 1))
-    T[:p, :m] = sign[:, None] * s.At
-    T[:p, m] = sign * s.v
+    work = np.empty_like(T)
+    # A / -d is -(A / d) bit for bit, so one divide writes the oriented rows
+    np.divide(A.T, (sign * d)[:, None], out=T[:p, :m])
+    T[:p, m] = sign * v
     # unit cost on the artificials, reduced against the artificial basis
-    T[p] = -T[:p].sum(axis=0)
+    np.add.reduce(T[:p], axis=0, out=T[p])
+    np.negative(T[p], out=T[p])
     basis = list(range(m, m + p))
     if _run_simplex(T, basis, max_iter, work) != "optimal":
         # the artificial sum is bounded below by zero; anything else is breakdown
@@ -243,6 +238,8 @@ def _phase1(s: _Scaled, max_iter: int, work: np.ndarray):
                 continue
             _pivot(T, basis, i, k, work)
         rows.append(i)
+    if not dropped:
+        return T, basis, slice(None)
     kept = [j for j in range(p) if j not in dropped]
     return T[rows + [p]], [basis[i] for i in rows], kept
 
@@ -257,26 +254,29 @@ def solve(prob: LpProblem, max_iter: int | None = None) -> LpOutcome:
         Pivot budget of each simplex phase; exceeding it raises
         SimplexIterationError rather than returning an outcome.
     """
-    s = _Scaled.of(prob)
+    A = prob.constraints
+    d, v, y, _, y_scale = _scales(prob)
     max_iter = _pivot_budget(prob, max_iter)
-    p, m = s.At.shape
-    work = np.empty((p + 1, m + 1))
-    start = _phase1(s, max_iter, work)
+    start = _phase1(A, d, v, max_iter)
     if start is None:
         return Unbounded()
     T, basis, kept = start
 
-    # phase 2: maximize y.g, i.e. minimize -y.g, costs reduced against the basis
-    T[-1] = 0.0
-    T[-1, :m] = -s.y
-    T[-1] += s.y[basis] @ T[:-1]
-    if _run_simplex(T, basis, max_iter, work[: T.shape[0]]) == "unbounded":
+    # phase 2: maximize y.g, i.e. minimize -y.g; the cost row y_B T - y,
+    # reduced against the basis, is written in place
+    cost = T[-1]
+    np.matmul(y.take(basis), T[:-1], out=cost)
+    cost[:-1] -= y
+    if _run_simplex(T, basis, max_iter, np.empty_like(T)) == "unbounded":
         return Infeasible()
 
     # the active rows hold with equality: A_B b = y_B, redundant coefficients 0
-    c = np.zeros(p)
-    c[kept] = np.linalg.solve(s.At[kept][:, basis].T, s.y[basis])
-    b = c * s.y_scale / s.col_scale
+    c = np.linalg.solve((A.take(basis, axis=0) / d)[:, kept], y.take(basis))
+    if c.shape[0] < d.shape[0]:
+        full = np.zeros(d.shape[0])
+        full[kept] = c
+        c = full
+    b = c * y_scale / d
     return Optimal(solution=b, objective_value=float(prob.objective @ b))
 
 
@@ -286,12 +286,11 @@ def check_bounded(prob: LpProblem) -> np.ndarray | None:
     A^T g = v holds within the solver's tolerance. This is phase 1 of
     ``solve``: no certificate means ``solve`` reports Unbounded.
     """
-    s = _Scaled.of(prob)
-    p, m = s.At.shape
-    start = _phase1(s, _pivot_budget(prob, None), np.empty((p + 1, m + 1)))
+    d, v, _, v_scale, _ = _scales(prob)
+    start = _phase1(prob.constraints, d, v, _pivot_budget(prob, None))
     if start is None:
         return None
     T, basis, _ = start
-    g = np.zeros(m)
-    g[basis] = T[:-1, -1] * s.v_scale
+    g = np.zeros(prob.shape[0])
+    g[basis] = T[:-1, -1] * v_scale
     return g

@@ -19,6 +19,13 @@ _ERROR_KINDS = ("exponential_unit", "weibull", "zero")
 _MODEL_IDS = ("sine_sum", "cubic_1d")
 
 
+def lattice_side(n: int, q: int) -> int | None:
+    """The integer m with m**q == n, or None; the float root only proposes m,
+    so no n is accepted or refused by rounding."""
+    m = round(n ** (1.0 / q))
+    return next((c for c in (m - 1, m, m + 1) if c >= 1 and c ** q == n), None)
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     kind: str
@@ -30,12 +37,8 @@ class DesignSpec:
             raise ValueError(f"design kind must be one of {_DESIGN_KINDS}")
         if self.q < 1 or self.n < 1:
             raise ValueError("need q >= 1 and n >= 1")
-        if self.kind == "equidistant_grid":
-            m = self.n ** (1.0 / self.q)
-            if abs(m - round(m)) > 1e-9:
-                raise ValueError(
-                    f"equidistant grid needs n^(1/q) integer; n={self.n}, q={self.q}"
-                )
+        if self.kind == "equidistant_grid" and lattice_side(self.n, self.q) is None:
+            raise ValueError(f"equidistant grid needs n^(1/q) integer; n={self.n}, q={self.q}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ def gen_design(spec: DesignSpec, rng: np.random.Generator | None = None) -> np.n
         if rng is None:
             raise ValueError("random_uniform design needs an rng")
         return rng.uniform(0.0, 1.0, size=(spec.n, spec.q))
-    m = round(spec.n ** (1.0 / spec.q))
+    m = lattice_side(spec.n, spec.q)
     axis = np.arange(1, m + 1) / m
     mesh = np.meshgrid(*([axis] * spec.q), indexing="ij")
     # first coordinate varies fastest

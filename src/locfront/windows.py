@@ -53,19 +53,24 @@ def check_centers(centers: np.ndarray, h: float) -> None:
 
 
 def clip_window(x, h: float) -> Window:
-    """Window of half-edge h around x, clipped to [0,1]^q.
+    """Window of half-edge h around the point x, clipped to [0,1]^q.
 
     Raises ValueError unless x lies in the unit cube and h > 0, so NaN fails
     both. A bandwidth h >= 1 yields the whole cube. The window holds
-    read-only copies of its arrays; the caller's x is left as it was.
+    read-only copies of its arrays; the caller's x is left as it was. The
+    bounds are Python floats, the IEEE operations of ``np.maximum(x - h, 0)``
+    and ``np.minimum(x + h, 1)`` without numpy's per-call cost.
     """
     xv = np.array(x, dtype=float, ndmin=1)
-    check_centers(xv, h)
-    lower = np.maximum(xv - h, 0.0)
-    upper = np.minimum(xv + h, 1.0)
+    center = xv.tolist()
+    if not (h > 0 and all(0.0 <= c <= 1.0 for c in center)):
+        check_centers(xv, h)  # raises, naming the bandwidth or the centre
+    h = float(h)
+    lower = np.array([max(c - h, 0.0) for c in center])
+    upper = np.array([min(c + h, 1.0) for c in center])
     for array in (xv, lower, upper):
         array.setflags(write=False)
-    return Window(center=xv, bandwidth=float(h), lower=lower, upper=upper)
+    return Window(center=xv, bandwidth=h, lower=lower, upper=upper)
 
 
 def within(points: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:

@@ -143,6 +143,23 @@ def enumerate_vertices_oracle(prob, feas_tol: float = 1e-9) -> list[np.ndarray]:
     return vertices
 
 
+def reset_pivot(T, basis, r, k, work) -> None:
+    """Reference simplex pivot on (r, k) in six array steps, ending in an
+    explicit reset of column k to the unit vector e_r.
+
+    Row r is scaled by its pivot entry; ``work`` gets the strided column k
+    broadcast against it, with its own row r multiplied by 0; T loses
+    ``work``; column k is then overwritten with zeros and a one at row r.
+    """
+    T[r] /= T[r, k]
+    np.multiply(T[:, k, None], T[r], out=work)
+    work[r] *= 0.0
+    T -= work
+    T[:, k] = 0.0
+    T[r, k] = 1.0
+    basis[r] = k
+
+
 def _column_scaled(prob):
     """A with unit max-norm columns d, the objective v / d at unit max-norm, d."""
     A = prob.constraints

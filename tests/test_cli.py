@@ -190,6 +190,27 @@ class TestSimulateCommand:
         assert record["error"] == "ConfigError"
         assert "(n)" in record["message"]
 
+    def test_off_lattice_sample_size_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        import locfront.harness as harness
+
+        def no_fit(*args):
+            raise AssertionError("a cell was fitted")
+
+        monkeypatch.setattr(harness, "fit_at", no_fit)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            SIM_CONFIG.replace("q = 1", "q = 2").replace("n = 64, 121", "n = 100, 500")
+            .replace("design = random_uniform", "design = equidistant_grid")
+        )
+        out_csv = tmp_path / "results.csv"
+        code = main(["simulate", "--config", str(cfg_path), "--out-csv", str(out_csv),
+                     "--out-json", str(tmp_path / "results.json"), "--workers", "1"])
+        assert code == 2
+        assert not out_csv.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert "n_list (n)" in record["message"] and "500" in record["message"]
+
     def test_adaptive_rule_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SIM_CONFIG.replace("bandwidth = simulation", "bandwidth = adaptive"))

@@ -386,6 +386,10 @@ class TestConfigParsing:
             ({"q": "0"}, "q must be >= 1"),
             ({"n": "50, 0"}, r"\(n\) entries must be >= 1, got 0"),
             ({"beta_star": "1, -1"}, r"\(beta_star\) entries must be >= 0, got -1"),
+            ({"q": "2", "n": "100, 500", "design": "equidistant_grid"},
+             r"\(n\) entries must be perfect q-th powers \(q = 2\).*got 500"),
+            ({"q": "3", "n": "1000, 100", "design": "equidistant_grid"},
+             r"\(n\) entries must be perfect q-th powers \(q = 3\).*got 100$"),
         ],
     )
     def test_build_errors(self, overrides, match):

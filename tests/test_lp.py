@@ -21,6 +21,7 @@ from oracles import (
     enumerate_vertices_oracle,
     highs_has_certificate,
     highs_reference,
+    reset_pivot,
     scale_relative_error,
 )
 
@@ -126,8 +127,11 @@ class TestProblemValidation:
             LpProblem([1.0], np.empty((0, 1)), np.empty(0))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            LpProblem([np.nan], [[1.0]], [0.0])
+        for bad in (np.nan, np.inf, -np.inf):
+            for v, A, y in (([bad], [[1.0]], [0.0]), ([1.0], [[1.0], [bad]], [0.0, 0.0]),
+                            ([1.0], [[1.0]], [bad])):
+                with pytest.raises(ValueError, match="finite"):
+                    LpProblem(v, A, y)
 
 
 class TestCheckBounded:
@@ -293,3 +297,54 @@ def test_tie_heavy_lps_match_highs(data):
     assert type(out).__name__.lower() == expected
     if expected == "optimal":
         assert scale_relative_error(prob, out.solution, b_ref) <= 1e-9
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tie_heavy_lps)
+def test_tie_heavy_certificates(data):
+    """check_bounded on tie-heavy LPs: redundant equality rows are common, so
+    phase 1 often drops rows, and its certificate must satisfy every row of
+    A^T g = v, dropped ones included, whenever HiGHS finds one."""
+    prob = LpProblem(*data)
+    g = check_bounded(prob)
+    assert (g is None) == (not highs_has_certificate(prob))
+    assert (g is None) == isinstance(solve(prob), Unbounded)
+    if g is not None:
+        assert g.min() >= -1e-9
+        assert np.abs(prob.constraints.T @ g - prob.objective).max() <= 1e-7
+
+
+pivot_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+    st.floats(1e-3, 1e3),
+    st.floats(-1e3, -1e-3),
+)
+pivot_cases = st.tuples(st.integers(2, 11), st.integers(1, 25)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(pivot_entries, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]),
+        st.just(shape),
+        st.integers(0, shape[0] - 2),  # never the cost row
+        st.integers(0, shape[1] - 1),
+        st.sampled_from([1.0, -1.0, 0.25, -0.25, 3.0, -7.5, 1e-3, -1e-3]),
+    )
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(pivot_cases)
+def test_pivot_matches_the_reset_reference_byte_for_byte(case):
+    """Tableaux with +-0.0 entries and pivots of either sign (phase 1 drives
+    artificials out on negative entries): the four-step pivot writes the same
+    bytes as the reference with an explicit reset, and column k is exactly e_r."""
+    entries, shape, r, k, pivot = case
+    T = np.array(entries).reshape(shape)
+    T[r, k] = pivot
+    expected, basis_ref = T.copy(), list(range(shape[0] - 1))
+    reset_pivot(expected, basis_ref, r, k, np.empty(shape))
+    basis = list(range(shape[0] - 1))
+    lp._pivot(T, basis, r, k, np.full(shape, np.nan))
+    assert T.tobytes() == expected.tobytes()
+    assert basis == basis_ref
+    unit = np.zeros(shape[0])
+    unit[r] = 1.0
+    assert T[:, k].tobytes() == unit.tobytes()

@@ -9,6 +9,7 @@ from locfront.synthetic import (
     ModelSpec,
     eval_boundary,
     gen_design,
+    lattice_side,
     make_sample,
     sample_errors,
 )
@@ -32,6 +33,17 @@ class TestGenDesign:
     def test_grid_requires_integer_root(self):
         with pytest.raises(ValueError):
             DesignSpec("equidistant_grid", q=2, n=10)
+
+    def test_grid_root_test_is_integer_exact(self):
+        # 10**18 + 1 rounds to the float 1e18, a perfect square and cube
+        for q in (2, 3):
+            with pytest.raises(ValueError, match="n\\^\\(1/q\\) integer"):
+                DesignSpec("equidistant_grid", q=q, n=10**18 + 1)
+            DesignSpec("equidistant_grid", q=q, n=(10**6 + 1) ** q)
+        for q in (1, 2, 3, 4):
+            for m in range(1, 400):
+                assert lattice_side(m**q, q) == m
+                assert q == 1 or lattice_side(m**q + 1, q) is None
 
     def test_uniform_reproducible_and_in_cube(self):
         spec = DesignSpec("random_uniform", q=3, n=50)

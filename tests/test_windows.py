@@ -48,6 +48,32 @@ class TestClipWindow:
         with pytest.raises(ValueError):
             clip_window((float("nan"), 0.5), 0.3)
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_bounds_equal_numpy_clipping_byte_for_byte(self, q):
+        rng = np.random.default_rng(q)
+        centers = [np.zeros(q), np.ones(q), np.full(q, 0.7), rng.uniform(0, 1, q),
+                   np.array([0.0, 1.0, 0.3][:q]), np.array([1e-300, 1.0 - 2**-53, 0.5][:q])]
+        for x in centers:
+            # h below one ulp of the centre, small, moderate, 1 and beyond
+            for h in (5e-324, np.spacing(0.7) / 4, 1e-17, 0.01, 0.3, 1.0, 1.5, 7.0):
+                w = clip_window(x, h)
+                assert w.center.tobytes() == x.tobytes()
+                assert w.lower.tobytes() == np.maximum(x - h, 0.0).tobytes()
+                assert w.upper.tobytes() == np.minimum(x + h, 1.0).tobytes()
+                assert w.bandwidth == h
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_invalid_inputs_raise_the_same_messages(self, q):
+        inside = np.full(q, 0.5)
+        for bad in (np.nan, -0.1, 1.0 + 2**-52, -np.inf):
+            x = inside.copy()
+            x[-1] = bad
+            with pytest.raises(ValueError, match=r"window center \[.*\] outside the unit cube"):
+                clip_window(x, 0.1)
+        for h in (0.0, -0.0, -0.2, np.nan, -np.inf):
+            with pytest.raises(ValueError, match="bandwidth must be positive, got"):
+                clip_window(inside, h)
+
     def test_positive_axis_lengths(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
