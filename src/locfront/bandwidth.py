@@ -16,6 +16,9 @@ import numpy as np
 
 from .estimator import Dataset, EstimatorConfig, fit_at, fit_local_constant
 
+# every rung's fit policies: no rung fails for want of data or of boundedness
+LADDER_POLICIES = {"fallback": "degrade_degree", "empty_window": "expand"}
+
 
 def simulation_bandwidth(n: int, q: int, beta_star: int) -> float:
     """n**(-1/(beta_star + 1 + q)), capped at 1."""
@@ -207,12 +210,7 @@ def adaptive_bandwidth(
     alpha_hat = _pilot_alpha(data, cfg)
     estimates = np.empty((K + 2, grid.shape[0]))
     for k in range(K + 2):
-        fit_cfg = EstimatorConfig(
-            beta_star=beta_star,
-            h=float(capped[k]),
-            fallback="degrade_degree",
-            empty_window="expand",
-        )
+        fit_cfg = EstimatorConfig(beta_star=beta_star, h=float(capped[k]), **LADDER_POLICIES)
         try:
             estimates[k] = [fit_at(data, pt, fit_cfg).value for pt in grid]
         except (ValueError, RuntimeError) as err:

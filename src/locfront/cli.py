@@ -14,14 +14,16 @@ stderr. Worker-process count comes from --workers or LOCFRONT_WORKERS.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import harness
 from .bandwidth import simulation_bandwidth
-from .estimator import DatasetFormatError, EstimatorConfig, fit_at, load_dataset
+from .estimator import DatasetFormatError, EstimatorConfig, fit_grid, load_dataset
 from .harness import ConfigError
 
 
@@ -144,30 +146,22 @@ def _cmd_fit(args) -> int:
     else:
         raise ConfigError("fit needs --point or --grid")
 
-    lines = [",".join([f"x{i + 1}" for i in range(data.q)]
-                      + ["value", "status", "effective_degree",
-                         "effective_bandwidth", "n_active"])]
-    for point in np.atleast_2d(points):
-        res = fit_at(data, point, cfg)
-        coords = ",".join(repr(float(c)) for c in point)
-        lines.append(
-            f"{coords},{res.value!r},{res.status},{res.effective_degree},"
-            f"{res.effective_bandwidth!r},{res.n_active}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    header = [f"x{i + 1}" for i in range(data.q)] + [
+        "value", "status", "effective_degree", "effective_bandwidth", "n_active"
+    ]
+    rows = [
+        (*map(float, point), res.value, res.status, res.effective_degree,
+         res.effective_bandwidth, res.n_active)
+        for point, res in zip(points, fit_grid(data, points, cfg))
+    ]
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        harness.write_csv(fh, header, rows)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     cfg = _read_config(args.config)
     spec = harness.build_experiment_spec(cfg)
-    if spec.bandwidth.kind == "adaptive":
-        raise ConfigError("simulate needs a non-adaptive bandwidth rule; see 'adaptive'")
     table = harness.run_mse(spec, workers=args.workers)
     harness.write_result_csv(table, args.out_csv)
     harness.write_result_json(table, spec, args.out_json)
@@ -187,24 +181,11 @@ def _cmd_rate_study(args) -> int:
     spec = harness.build_experiment_spec(cfg)
     grid_size = harness.config_int(cfg, "rate_grid", args.eval_grid)
     result = harness.run_rate_study(spec, eval_grid_size=grid_size, workers=args.workers)
-    payload = {
-        "beta_star": result.beta_star,
-        "alpha": result.alpha,
-        "beta": result.beta,
-        "n_list": list(result.n_list),
-        "median_sup_errors": list(result.median_sup_errors),
-        "slope": result.slope,
-        "expected_slope": result.expected_slope,
-    }
-    with open(args.out_json, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    harness.write_rate_json(result, args.out_json)
     return 0
 
 
 def _cmd_adaptive(args) -> int:
-    import os
-
     cfg = _read_config(args.config)
     spec = harness.build_experiment_spec(cfg)
     adaptive_cfg = harness.build_adaptive_config(cfg, spec.q)
@@ -213,9 +194,7 @@ def _cmd_adaptive(args) -> int:
     if args.diagnostics_dir:
         os.makedirs(args.diagnostics_dir, exist_ok=True)
         for run in runs:
-            path = os.path.join(
-                args.diagnostics_dir, f"ladder_n{run.n}_r{run.replication}.csv"
-            )
+            path = os.path.join(args.diagnostics_dir, f"ladder_n{run.n}_r{run.replication}.csv")
             harness.write_adaptive_diagnostics_csv(run.result, path)
     return 0
 

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lp
-from .basis import PolyCoeffs, enumerate_basis, vandermonde
+from .basis import PolyCoeffs, _as_points, enumerate_basis, vandermonde
 from .windows import WindowIndex, clip_window, objective_vector, window_maxima, window_rows
 
 
@@ -236,11 +236,7 @@ def fit_local_constant(data: Dataset, x, h: float):
     EmptyWindowError
         Some window holds no data; the message names the first such point.
     """
-    xv = np.asarray(x, dtype=float)
-    single = xv.ndim <= 1
-    centers = xv.reshape(1, -1) if single else xv
-    if centers.ndim != 2 or centers.shape[1] != data.q:
-        raise ValueError(f"points of shape {xv.shape}; expected ({data.q},) or (m, {data.q})")
+    centers, single = _as_points(x, data.q)
     fitted = window_maxima(data.index, data.responses, centers, h)
     if fitted.min(initial=0.0) == -np.inf:  # responses are finite: an empty window
         point = centers[fitted.argmin()]
@@ -256,9 +252,7 @@ def fit_grid(data: Dataset, grid, cfg: EstimatorConfig) -> list[FitResult]:
         try:
             results.append(fit_at(data, point, cfg))
         except (ValueError, RuntimeError) as err:
-            raise type(err)(
-                f"grid point {i} at {point.tolist()}: {err}"
-            ) from err
+            raise type(err)(f"grid point {i} at {point.tolist()}: {err}") from err
     return results
 
 

@@ -26,29 +26,27 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .bandwidth import (
+    LADDER_POLICIES,
     AdaptiveConfig,
     AdaptiveResult,
     adaptive_bandwidth,
     balanced_bandwidth,
     simulation_bandwidth,
 )
-from .estimator import Dataset, EstimatorConfig, fit_at
+from .estimator import _EMPTY_POLICIES, _FALLBACKS, Dataset, EstimatorConfig, fit_at
 from .synthetic import (
     DesignSpec,
     ErrorSpec,
     ModelSpec,
     eval_boundary,
     gen_design,
+    lattice,
     lattice_side,
     make_sample,
     sample_errors,
 )
 
 WORKERS_ENV = "LOCFRONT_WORKERS"
-
-RESULT_CSV_HEADER = (
-    "beta_star,n,mse,mc_stderr,n_exact,n_degraded,n_expanded"
-)
 
 
 class ConfigError(ValueError):
@@ -135,6 +133,9 @@ class ExperimentSpec:
         if off_lattice:
             raise ValueError(f"n_list (n) entries must be perfect q-th powers (q = {self.q}) "
                              f"for design = equidistant_grid, got {off_lattice[0]}")
+        for key, allowed in (("fallback", _FALLBACKS), ("empty_window", _EMPTY_POLICIES)):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -153,16 +154,13 @@ class ResultTable:
 
     cells: dict[tuple[int, int], CellResult]
 
-    def sorted_keys(self) -> list[tuple[int, int]]:
-        return sorted(self.cells)
-
     def rows(self) -> list[dict]:
         """One dict per cell in key order: beta_star, n, then the cell's fields
         but its replication count."""
         return [
             {"beta_star": b, "n": n,
              **{k: v for k, v in asdict(self.cells[(b, n)]).items() if k != "replications"}}
-            for b, n in self.sorted_keys()
+            for b, n in sorted(self.cells)
         ]
 
 
@@ -200,9 +198,7 @@ def evaluation_grid(q: int, points_per_axis: int) -> np.ndarray:
         )
     if points_per_axis == 1:
         return np.full((1, q), 0.5)
-    axis = np.linspace(0.0, 1.0, points_per_axis)
-    mesh = np.meshgrid(*([axis] * q), indexing="ij")
-    return np.stack([g.ravel(order="F") for g in mesh], axis=1)
+    return lattice(np.linspace(0.0, 1.0, points_per_axis), q)
 
 
 _STATUS_RANK = {"exact": 0, "expanded": 1, "degraded": 2}
@@ -285,6 +281,8 @@ def run_mse(spec: ExperimentSpec, workers: int | None = None) -> ResultTable:
     A replication's status tally is its worst fit ("degraded" over "expanded"
     over "exact"), so tallies sum to the replication count.
     """
+    if spec.bandwidth.kind == "adaptive":
+        raise ValueError("bandwidth: an adaptive h is selected per dataset; use run_adaptive")
     per_axis = spec.grid_points_per_axis if spec.evaluation == "grid" else 1
     grid = evaluation_grid(spec.q, per_axis)
     cells = _run_cells(_replication_errors, spec, grid, workers)
@@ -313,7 +311,8 @@ def run_rate_study(
 
     Per sample size, takes the median over replications of the max absolute
     error over an evaluation grid, then regresses log(median) on log(n). The
-    theoretical comparison value is -beta/(alpha*beta + q).
+    theoretical comparison value is -beta/(alpha*beta + q). A median of zero
+    has no logarithm and raises ValueError naming its n.
     """
     if spec.bandwidth.kind != "balanced":
         raise ValueError("rate study needs the balanced bandwidth rule")
@@ -330,6 +329,9 @@ def run_rate_study(
         float(np.median([np.max(np.abs(errors)) for errors, _ in results]))
         for _, _, results in _run_cells(_replication_errors, spec, grid, workers)
     ]
+    for n, median in zip(spec.n_list, medians):
+        if median == 0.0:
+            raise ValueError(f"median sup-error is 0 at n={n}; the log-log slope is undefined")
     slope = float(
         np.polyfit(np.log(np.asarray(spec.n_list, float)), np.log(medians), 1)[0]
     )
@@ -355,9 +357,15 @@ class AdaptiveRun:
 def run_adaptive(
     spec: ExperimentSpec, cfg: AdaptiveConfig, workers: int | None = None
 ) -> list[AdaptiveRun]:
-    """Ladder-selected bandwidth and diagnostics for every replication."""
+    """Ladder-selected bandwidth and diagnostics for every replication; the
+    spec must hold the adaptive rule and the ladder's ``LADDER_POLICIES``."""
     if len(spec.beta_star_list) != 1:
         raise ValueError("adaptive runs use one beta_star at a time")
+    if spec.bandwidth.kind != "adaptive":
+        raise ValueError(f"bandwidth: adaptive runs use 'adaptive', got {spec.bandwidth.kind!r}")
+    for key, value in LADDER_POLICIES.items():
+        if getattr(spec, key) != value:
+            raise ValueError(f"{key}: adaptive runs use {value!r}, got {getattr(spec, key)!r}")
     return [
         AdaptiveRun(n=n, replication=r, result=res)
         for _, n, results in _run_cells(_adaptive_task, spec, cfg, workers)
@@ -369,49 +377,53 @@ def run_adaptive(
 # output files
 
 
-def write_result_csv(table: ResultTable, path) -> None:
+def write_csv(fh, header, rows) -> None:
+    """The header line, then one line per row: strings as they are, numbers
+    by ``repr`` (full precision, ``nan`` for NaN)."""
+    for fields in (header, *rows):
+        fh.write(",".join(f if isinstance(f, str) else repr(f) for f in fields) + "\n")
+
+
+def _write_json(payload, path) -> None:
+    # encoded before the file opens, so a NaN leaves no file at all
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        fh.write(RESULT_CSV_HEADER + "\n")
-        for row in table.rows():
-            fh.write(",".join(map(repr, row.values())) + "\n")
+        fh.write(text + "\n")
 
 
-def _spec_echo(spec: ExperimentSpec) -> dict:
-    echo = asdict(spec)
-    echo["error"] = {"kind": spec.error.kind, "alpha": spec.error.alpha}
-    echo["model"] = {"g_id": spec.model.g_id}
-    return echo
+def _write_dict_rows(rows: list[dict], path) -> None:
+    # the first row's keys are the header, as they are the JSON keys
+    with open(path, "w") as fh:
+        write_csv(fh, list(rows[0]), [row.values() for row in rows])
+
+
+def write_result_csv(table: ResultTable, path) -> None:
+    _write_dict_rows(table.rows(), path)
 
 
 def write_result_json(table: ResultTable, spec: ExperimentSpec, path) -> None:
-    payload = {
-        "experiment": _spec_echo(spec),
-        "master_seed": spec.master_seed,
-        "results": table.rows(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    echo = {"experiment": asdict(spec), "master_seed": spec.master_seed, "results": table.rows()}
+    _write_json(echo, path)
+
+
+def write_rate_json(result: RateStudyResult, path) -> None:
+    _write_json(asdict(result), path)
 
 
 def write_adaptive_csv(runs: list[AdaptiveRun], path) -> None:
+    header = ("n", "replication", "k_hat", "h_selected", "alpha_hat", "trigger_k", "trigger_l")
+    rows = [
+        (run.n, run.replication, run.result.k_hat, run.result.h_selected,
+         run.result.alpha_hat, *(run.result.trigger or ("", "")))
+        for run in runs
+    ]
     with open(path, "w") as fh:
-        fh.write("n,replication,k_hat,h_selected,alpha_hat,trigger_k,trigger_l\n")
-        for run in runs:
-            res = run.result
-            tk, tl = ("", "") if res.trigger is None else res.trigger
-            fh.write(
-                f"{run.n},{run.replication},{res.k_hat},{res.h_selected!r},"
-                f"{res.alpha_hat!r},{tk},{tl}\n"
-            )
+        write_csv(fh, header, rows)
 
 
 def write_adaptive_diagnostics_csv(result: AdaptiveResult, path) -> None:
     """Per-rung ladder table: k, h_k, zeta_k, max-grid delta to the next fit."""
-    with open(path, "w") as fh:
-        fh.write("k,h_k,zeta_k,max_delta_next\n")
-        for row in result.diagnostics_rows():
-            fh.write(",".join(map(repr, row.values())) + "\n")
+    _write_dict_rows(result.diagnostics_rows(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +500,8 @@ def _parse_error(value: str) -> ErrorSpec:
 
 
 def _parse_bandwidth(value: str) -> BandwidthRule:
-    if value == "simulation":
-        return BandwidthRule("simulation")
-    if value == "adaptive":
-        return BandwidthRule("adaptive")
+    if value in ("simulation", "adaptive"):
+        return BandwidthRule(value)
     if value.startswith("fixed:"):
         try:
             return BandwidthRule("fixed", h=float(value.split(":", 1)[1]))
@@ -526,9 +536,6 @@ def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
         evaluation = "grid"
     elif evaluation != "center":
         raise ConfigError(f"evaluation: expected 'center' or 'grid:<N>', got {evaluation!r}")
-    model = cfg.get("model", "sine_sum")
-    if model not in ("sine_sum", "cubic_1d"):
-        raise ConfigError(f"model: expected 'sine_sum' or 'cubic_1d', got {model!r}")
     try:
         return ExperimentSpec(
             q=config_int(cfg, "q"),
@@ -538,7 +545,7 @@ def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
             master_seed=config_int(cfg, "seed"),
             design=cfg.get("design", "random_uniform"),
             error=_parse_error(cfg.get("error", "exponential")),
-            model=ModelSpec(model),
+            model=ModelSpec(cfg.get("model", "sine_sum")),
             bandwidth=_parse_bandwidth(cfg.get("bandwidth", "simulation")),
             evaluation=evaluation,
             grid_points_per_axis=grid_n,

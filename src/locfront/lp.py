@@ -192,9 +192,10 @@ def _scales(prob: LpProblem):
     return d, w / v_scale, prob.rhs / y_scale, v_scale, y_scale
 
 
-def _pivot_budget(prob: LpProblem, max_iter: int | None) -> int:
+def _pivot_budget(prob: LpProblem) -> int:
+    """Pivots allowed in each simplex phase."""
     m, p = prob.shape
-    return 500 + 20 * (m + p) if max_iter is None else max_iter
+    return 500 + 20 * (m + p)
 
 
 def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int):
@@ -244,19 +245,15 @@ def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int):
     return T[rows + [p]], [basis[i] for i in rows], kept
 
 
-def solve(prob: LpProblem, max_iter: int | None = None) -> LpOutcome:
+def solve(prob: LpProblem) -> LpOutcome:
     """Solve the LP, reporting Optimal / Unbounded / Infeasible.
 
-    Parameters
-    ----------
-    prob : LpProblem
-    max_iter : int, optional
-        Pivot budget of each simplex phase; exceeding it raises
-        SimplexIterationError rather than returning an outcome.
+    A simplex phase that exceeds ``_pivot_budget(prob)`` pivots raises
+    SimplexIterationError rather than returning an outcome.
     """
     A = prob.constraints
     d, v, y, _, y_scale = _scales(prob)
-    max_iter = _pivot_budget(prob, max_iter)
+    max_iter = _pivot_budget(prob)
     start = _phase1(A, d, v, max_iter)
     if start is None:
         return Unbounded()
@@ -287,7 +284,7 @@ def check_bounded(prob: LpProblem) -> np.ndarray | None:
     ``solve``: no certificate means ``solve`` reports Unbounded.
     """
     d, v, _, v_scale, _ = _scales(prob)
-    start = _phase1(prob.constraints, d, v, _pivot_budget(prob, None))
+    start = _phase1(prob.constraints, d, v, _pivot_budget(prob))
     if start is None:
         return None
     T, basis, _ = start

@@ -71,7 +71,14 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.g_id not in _MODEL_IDS:
-            raise ValueError(f"model must be one of {_MODEL_IDS}")
+            raise ValueError(f"model must be one of {_MODEL_IDS}, got {self.g_id!r}")
+
+
+def lattice(axis: np.ndarray, q: int) -> np.ndarray:
+    """Every q-tuple of ``axis`` values as an (len(axis)**q, q) array, the
+    first coordinate varying fastest."""
+    mesh = np.meshgrid(*([axis] * q), indexing="ij")
+    return np.stack([g.ravel(order="F") for g in mesh], axis=1)
 
 
 def gen_design(spec: DesignSpec, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -86,10 +93,7 @@ def gen_design(spec: DesignSpec, rng: np.random.Generator | None = None) -> np.n
             raise ValueError("random_uniform design needs an rng")
         return rng.uniform(0.0, 1.0, size=(spec.n, spec.q))
     m = lattice_side(spec.n, spec.q)
-    axis = np.arange(1, m + 1) / m
-    mesh = np.meshgrid(*([axis] * spec.q), indexing="ij")
-    # first coordinate varies fastest
-    return np.stack([g.ravel(order="F") for g in mesh], axis=1)
+    return lattice(np.arange(1, m + 1) / m, spec.q)
 
 
 def sample_errors(spec: ErrorSpec, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 import locfront
 from locfront.cli import main
-from locfront.estimator import EstimatorConfig, fit_at, save_dataset
+from locfront.estimator import Dataset, EstimatorConfig, fit_at, save_dataset
 from locfront.harness import (
     build_experiment_spec,
     parse_config,
@@ -113,6 +113,17 @@ class TestFitCommand:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "DatasetFormatError"
         assert "line 2" in record["message"]
+
+    def test_failing_point_is_named_and_no_file_written(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "data2.csv"
+        save_dataset(Dataset(rng.uniform(size=(30, 2)), rng.uniform(size=30)), path)
+        out = tmp_path / "fits.csv"
+        code = main(["fit", str(path), "--point", "0.5,0.5", "--point", "0.5,1.5",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "grid point 1" in json.loads(capsys.readouterr().err)["message"]
 
     def test_bad_bandwidth_string(self, dataset_file, capsys):
         path, _ = dataset_file
@@ -259,6 +270,23 @@ class TestRateStudyCommand:
         assert record["error"] == error
         assert match in record["message"]
 
+    def test_zero_median_exits_2_without_a_file(self, tmp_path, capsys):
+        # noiseless cubic data fitted at degree 3: the median sup-error over
+        # a 3-point grid is exactly 0 at n = 60, and log(0) has no slope
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text(
+            RATE_CONFIG.replace("beta_star = 1", "beta_star = 3\nerror = zero")
+            .replace("rate_grid = 7", "rate_grid = 3")
+        )
+        out_json = tmp_path / "rate.json"
+        code = main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
+                     "--workers", "1"])
+        assert code == 2
+        assert not out_json.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert "n=60" in record["message"]
+
     def test_nan_balanced_parameter_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "rate.cfg"
         cfg_path.write_text(RATE_CONFIG.replace("balanced:1,2", "balanced:nan,2"))
@@ -311,6 +339,17 @@ class TestAdaptiveCommand:
         assert code == 2
         assert not out_csv.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_fixed_rule_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "adapt.cfg"
+        cfg_path.write_text(ADAPTIVE_CONFIG.replace(
+            "bandwidth = adaptive", "bandwidth = fixed:0.3\nfallback = error"))
+        out_csv = tmp_path / "selections.csv"
+        code = main(["adaptive", "--config", str(cfg_path), "--out-csv", str(out_csv),
+                     "--workers", "1"])
+        assert code == 2
+        assert not out_csv.exists()
+        assert json.loads(capsys.readouterr().err)["message"].startswith("bandwidth: ")
 
     @pytest.mark.parametrize(
         "order,error", [("0", "ConfigError"), ("500", "ValueError")]

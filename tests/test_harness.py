@@ -1,15 +1,18 @@
+import io
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from locfront.bandwidth import AdaptiveConfig, simulation_bandwidth
+from locfront import harness
 from locfront.estimator import EstimatorConfig, UnboundedFitError, fit_at
 from locfront.harness import (
     BandwidthRule,
     ConfigError,
     ExperimentSpec,
+    RateStudyResult,
     build_adaptive_config,
     build_experiment_spec,
     config_int,
@@ -22,6 +25,8 @@ from locfront.harness import (
     run_rate_study,
     write_adaptive_csv,
     write_adaptive_diagnostics_csv,
+    write_csv,
+    write_rate_json,
     write_result_csv,
     write_result_json,
 )
@@ -314,6 +319,60 @@ class TestOutputs:
         assert mse_from_csv == payload["results"][0]["mse"]
 
 
+class TestWriters:
+    def test_csv_field_formats(self):
+        fh = io.StringIO()
+        write_csv(fh, ("s", "i", "f", "nan", "empty"), [("exact", 3, 1 / 3, float("nan"), "")])
+        assert fh.getvalue() == "s,i,f,nan,empty\nexact,3,0.3333333333333333,nan,\n"
+
+    RATE = RateStudyResult(
+        beta_star=1, alpha=1.0, beta=2.0, n_list=(60, 120),
+        median_sup_errors=(0.5, 0.25), slope=-1.0, expected_slope=-0.5,
+    )
+
+    def test_rate_json_keeps_field_order(self, tmp_path):
+        path = tmp_path / "rate.json"
+        write_rate_json(self.RATE, path)
+        payload = json.loads(path.read_text())
+        assert list(payload) == [f.name for f in fields(RateStudyResult)]
+        assert payload["n_list"] == [60, 120]
+        assert payload["median_sup_errors"] == [0.5, 0.25]
+
+    def test_json_refuses_nan_before_opening_the_file(self, tmp_path):
+        path = tmp_path / "rate.json"
+        with pytest.raises(ValueError):
+            write_rate_json(replace(self.RATE, slope=float("nan")), path)
+        assert not path.exists()
+
+
+class TestRuleChecks:
+    """Each run_* entry point checks its rule before any cell runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_cells(self, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_run_cells", no_cell)
+
+    def test_mse_refuses_adaptive_rule(self):
+        with pytest.raises(ValueError, match="^bandwidth: "):
+            run_mse(small_center_spec(bandwidth=BandwidthRule("adaptive")), workers=1)
+
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"bandwidth": BandwidthRule("fixed", h=0.3)}, "bandwidth"),
+            ({"fallback": "error"}, "fallback"),
+            ({"empty_window": "error"}, "empty_window"),
+        ],
+    )
+    def test_adaptive_refuses_other_rules_and_policies(self, overrides, key):
+        spec = small_center_spec(beta_star_list=(1,), bandwidth=BandwidthRule("adaptive"))
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            run_adaptive(replace(spec, **overrides), AdaptiveConfig(grid=[[0.5, 0.5]]), workers=1)
+
+
 class TestConfigParsing:
     GOOD = """
         # comment
@@ -390,6 +449,8 @@ class TestConfigParsing:
              r"\(n\) entries must be perfect q-th powers \(q = 2\).*got 500"),
             ({"q": "3", "n": "1000, 100", "design": "equidistant_grid"},
              r"\(n\) entries must be perfect q-th powers \(q = 3\).*got 100$"),
+            ({"fallback": "bogus"}, r"^fallback must be one of .*got 'bogus'$"),
+            ({"empty_window": "grow"}, r"^empty_window must be one of .*got 'grow'$"),
         ],
     )
     def test_build_errors(self, overrides, match):

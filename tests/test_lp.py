@@ -68,10 +68,11 @@ class TestSolveExamples:
         prob = LpProblem([1.0], [[1.0], [-1.0]], [1.0, 1.0])
         assert isinstance(solve(prob), Infeasible)
 
-    def test_iteration_limit_reported_distinctly(self):
+    def test_iteration_limit_reported_distinctly(self, monkeypatch):
         prob = LpProblem([0.2, 0.0], [[1.0, -0.1], [1.0, 0.1]], [1.0, 2.0])
+        monkeypatch.setattr(lp, "_pivot_budget", lambda prob: 1)
         with pytest.raises(SimplexIterationError):
-            solve(prob, max_iter=1)
+            solve(prob)
 
     def test_degenerate_duplicated_rows_terminate(self):
         # two distinct constraints, each duplicated four times
@@ -104,7 +105,8 @@ class TestBlandSwitch:
         default_pivots = pivots[:]
         pivots.clear()
         # a budget of 5 lowers the switch to 2 degenerate pivots in a row
-        bland = solve(self.DEGENERATE, max_iter=5)
+        monkeypatch.setattr(lp, "_pivot_budget", lambda prob: 5)
+        bland = solve(self.DEGENERATE)
         assert pivots != default_pivots  # Bland's rule chose other pivots
         assert isinstance(default, Optimal) and isinstance(bland, Optimal)
         assert bland.solution.tobytes() == default.solution.tobytes()
@@ -113,7 +115,7 @@ class TestBlandSwitch:
     def test_switch_comes_before_the_budget(self):
         for size in range(2, 5001):  # p = 1 coefficient, m = size - 1 rows
             prob = LpProblem([1.0], np.ones((size - 1, 1)), np.zeros(size - 1))
-            budget = lp._pivot_budget(prob, None)
+            budget = lp._pivot_budget(prob)
             assert lp._bland_after(size, budget) < budget
 
 
