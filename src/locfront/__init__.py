@@ -58,7 +58,6 @@ from .lp import (
     Optimal,
     SimplexIterationError,
     Unbounded,
-    check_bounded,
     solve,
 )
 from .synthetic import (

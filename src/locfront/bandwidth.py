@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import Dataset, EstimatorConfig, fit_at, fit_local_constant
+from .estimator import Dataset, EstimatorConfig, fit_grid, fit_local_constant
 
 # every rung's fit policies: no rung fails for want of data or of boundedness
 LADDER_POLICIES = {"fallback": "degrade_degree", "empty_window": "expand"}
@@ -115,23 +115,11 @@ class AdaptiveResult:
 
     def diagnostics_rows(self) -> list[dict]:
         """One row per ladder index: k, h_k, threshold, sup-delta to the next fit."""
-        rows = []
-        for k in range(self.bandwidths.shape[0]):
-            if k + 1 < self.grid_estimates.shape[0]:
-                delta = float(
-                    np.max(np.abs(self.grid_estimates[k + 1] - self.grid_estimates[k]))
-                )
-            else:
-                delta = float("nan")
-            rows.append(
-                {
-                    "k": k,
-                    "h_k": float(self.bandwidths[k]),
-                    "zeta_k": float(self.thresholds[k]),
-                    "max_delta_next": delta,
-                }
-            )
-        return rows
+        deltas = [*np.abs(np.diff(self.grid_estimates, axis=0)).max(axis=1), float("nan")]
+        return [
+            {"k": k, "h_k": float(h), "zeta_k": float(zeta), "max_delta_next": float(delta)}
+            for k, (h, zeta, delta) in enumerate(zip(self.bandwidths, self.thresholds, deltas))
+        ]
 
 
 def select_bandwidth_index(
@@ -212,7 +200,7 @@ def adaptive_bandwidth(
     for k in range(K + 2):
         fit_cfg = EstimatorConfig(beta_star=beta_star, h=float(capped[k]), **LADDER_POLICIES)
         try:
-            estimates[k] = [fit_at(data, pt, fit_cfg).value for pt in grid]
+            estimates[k] = [fit.value for fit in fit_grid(data, grid, fit_cfg)]
         except (ValueError, RuntimeError) as err:
             raise type(err)(f"ladder rung k={k} (h={capped[k]:.4g}): {err}") from err
 

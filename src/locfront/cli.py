@@ -21,8 +21,7 @@ import sys
 
 import numpy as np
 
-from . import harness
-from .bandwidth import simulation_bandwidth
+from . import estimator, harness
 from .estimator import DatasetFormatError, EstimatorConfig, fit_grid, load_dataset
 from .harness import ConfigError
 
@@ -72,13 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument(
         "--fallback",
-        choices=("degrade_degree", "error"),
+        choices=estimator._FALLBACKS,
         default="degrade_degree",
         help="policy when the local LP is unbounded",
     )
     fit.add_argument(
         "--empty-window",
-        choices=("expand", "error"),
+        choices=estimator._EMPTY_POLICIES,
         default="expand",
         help="policy when the window holds no data",
     )
@@ -113,18 +112,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit(args) -> int:
     data = load_dataset(args.dataset)
-    if args.bandwidth == "simulation":
-        h = simulation_bandwidth(data.n, data.q, args.beta_star)
-    else:
-        try:
-            h = float(args.bandwidth)
-        except ValueError:
-            raise ConfigError(
-                f"--bandwidth must be 'simulation' or a number, got {args.bandwidth!r}"
-            ) from None
+    try:
+        rule = (harness.BandwidthRule("simulation") if args.bandwidth == "simulation"
+                else harness.BandwidthRule("fixed", h=float(args.bandwidth)))
+    except ValueError:
+        raise ConfigError(
+            f"--bandwidth must be 'simulation' or a number in (0, 1], got {args.bandwidth!r}"
+        ) from None
     cfg = EstimatorConfig(
         beta_star=args.beta_star,
-        h=h,
+        h=harness.resolve_bandwidth(rule, data.n, data.q, args.beta_star),
         fallback=args.fallback,
         empty_window=args.empty_window,
     )

@@ -48,6 +48,14 @@ _EMPTY_POLICIES = ("error", "expand")
 _EXPAND_FACTOR = 1.5  # bandwidth growth per step of the empty-window policy
 
 
+def _check_policies(fallback: str, empty_window: str) -> None:
+    """Refuse a policy name that is not in ``_FALLBACKS`` / ``_EMPTY_POLICIES``."""
+    for key, value, allowed in (("fallback", fallback, _FALLBACKS),
+                                ("empty_window", empty_window, _EMPTY_POLICIES)):
+        if value not in allowed:
+            raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Covariate points in the unit cube with scalar responses.
@@ -114,10 +122,7 @@ class EstimatorConfig:
             raise ValueError("beta_star must be >= 0")
         if not self.h > 0:
             raise ValueError(f"bandwidth must be positive, got {self.h}")
-        if self.fallback not in _FALLBACKS:
-            raise ValueError(f"fallback must be one of {_FALLBACKS}")
-        if self.empty_window not in _EMPTY_POLICIES:
-            raise ValueError(f"empty_window must be one of {_EMPTY_POLICIES}")
+        _check_policies(self.fallback, self.empty_window)
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,10 @@ def fit_local_constant(data: Dataset, x, h: float):
 
 
 def fit_grid(data: Dataset, grid, cfg: EstimatorConfig) -> list[FitResult]:
-    """fit_at over a list of points; order of results matches the input."""
+    """fit_at over a list of points; order of results matches the input.
+
+    The package's one grid loop, for ``locfront fit``, the Monte Carlo runs
+    and every ladder rung; a failure is re-raised naming its grid point."""
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     results = []
     for i, point in enumerate(pts):

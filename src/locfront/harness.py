@@ -33,8 +33,10 @@ from .bandwidth import (
     balanced_bandwidth,
     simulation_bandwidth,
 )
-from .estimator import _EMPTY_POLICIES, _FALLBACKS, Dataset, EstimatorConfig, fit_at
+from .estimator import Dataset, EstimatorConfig, _check_policies, fit_grid
+from .estimator import fit_at  # not called here; the benchmark's tracing tests read it
 from .synthetic import (
+    _DESIGN_KINDS,
     DesignSpec,
     ErrorSpec,
     ModelSpec,
@@ -126,16 +128,14 @@ class ExperimentSpec:
             raise ValueError("evaluation must be 'center' or 'grid'")
         if self.evaluation == "grid" and self.grid_points_per_axis < 1:
             raise ValueError("grid evaluation needs at least 1 point per axis")
-        if self.design not in ("random_uniform", "equidistant_grid"):
-            raise ValueError("design must be 'random_uniform' or 'equidistant_grid'")
+        if self.design not in _DESIGN_KINDS:
+            raise ValueError(f"design must be one of {_DESIGN_KINDS}, got {self.design!r}")
         off_lattice = [n for n in self.n_list
                        if self.design == "equidistant_grid" and lattice_side(n, self.q) is None]
         if off_lattice:
             raise ValueError(f"n_list (n) entries must be perfect q-th powers (q = {self.q}) "
                              f"for design = equidistant_grid, got {off_lattice[0]}")
-        for key, allowed in (("fallback", _FALLBACKS), ("empty_window", _EMPTY_POLICIES)):
-            if getattr(self, key) not in allowed:
-                raise ValueError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
+        _check_policies(self.fallback, self.empty_window)
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def _replication_errors(args) -> tuple[np.ndarray, str]:
     cfg = EstimatorConfig(
         beta_star=beta_star, h=h, fallback=spec.fallback, empty_window=spec.empty_window
     )
-    fits = [fit_at(data, point, cfg) for point in grid]
+    fits = fit_grid(data, grid, cfg)
     errors = np.array([fit.value for fit in fits]) - eval_boundary(spec.model, grid)
     return errors, max((fit.status for fit in fits), key=_STATUS_RANK.__getitem__)
 
@@ -311,11 +311,16 @@ def run_rate_study(
 
     Per sample size, takes the median over replications of the max absolute
     error over an evaluation grid, then regresses log(median) on log(n). The
-    theoretical comparison value is -beta/(alpha*beta + q). A median of zero
-    has no logarithm and raises ValueError naming its n.
+    theoretical comparison value is -beta/(alpha*beta + q). The ``zero``
+    error law has no tail index, so no theory slope, and is refused before
+    any cell runs. A median of zero has no logarithm and raises ValueError
+    naming its n.
     """
     if spec.bandwidth.kind != "balanced":
         raise ValueError("rate study needs the balanced bandwidth rule")
+    if spec.error.kind == "zero":
+        raise ValueError("error: the zero law has no tail index, so the rate study "
+                         "has no slope to compare; use exponential or weibull:<alpha>")
     if len(spec.n_list) < 4:
         raise ValueError("rate study needs at least 4 sample sizes")
     if len(spec.beta_star_list) != 1:

@@ -9,15 +9,17 @@ thousand). It is solved through its dual
 a two-phase simplex on a tableau of p equality rows and one column per data
 row. Phase 1 finds a g >= 0 with A^T g = v. Such a g exists exactly when v.b
 is bounded below on the (nonempty) feasible set, so phase 1 is the
-boundedness test and its g is the certificate ``check_bounded`` returns.
-Phase 2 maximizes y.g from there: an unbounded dual means the constraints
-are infeasible, and an optimal basis B gives the primal solution by one
-square solve of A_B b = y_B on its active rows.
+boundedness test. Phase 2 maximizes y.g from there: an unbounded dual means
+the constraints are infeasible, and an optimal basis B gives the primal
+solution by one square solve of A_B b = y_B on its active rows. ``solve`` is
+the only entry point, and an Optimal outcome carries its own certificate:
+the optimal g as ``dual``. g >= 0 with A^T g = v proves v.b bounded below,
+and y.g = v.b proves the solution optimal.
 
 Tolerances are scale-free. The entries of a windowed objective shrink like
 h^(q+|j|), so the tableau is built with every column of A scaled to unit
-max-norm (b = c / d) and with v and y scaled to unit max-norm; solutions and
-certificates are mapped back to the caller's scale.
+max-norm (b = c / d) and with v and y scaled to unit max-norm; the solution
+and its dual are mapped back to the caller's scale.
 
 Cycling on degenerate instances (collinear data points) is handled by
 switching to Bland's rule after a run of degenerate pivots that is always
@@ -79,8 +81,13 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class Optimal:
+    """Optimal b and its dual certificate g, shape (m,): g >= 0, A^T g = v and
+    y.g = v.b, each within the solver's tolerance. ``dual`` is None only on
+    an outcome built by hand without one."""
+
     solution: np.ndarray
     objective_value: float
+    dual: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -182,7 +189,8 @@ def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarra
 
 def _scales(prob: LpProblem):
     """(d, v, y, v_scale, y_scale): the scaled dual is (A / d)^T g = v with v
-    and y at unit max-norm, and its solution c maps back as c * y_scale / d."""
+    and y at unit max-norm; its g maps back as g * v_scale, and the primal
+    solution c as c * y_scale / d."""
     d = np.abs(prob.constraints).max(axis=0)
     if 0.0 in d.tolist():  # a zero column is rare; the list test is cheaper than the mask
         d[d == 0.0] = 1.0
@@ -252,7 +260,7 @@ def solve(prob: LpProblem) -> LpOutcome:
     SimplexIterationError rather than returning an outcome.
     """
     A = prob.constraints
-    d, v, y, _, y_scale = _scales(prob)
+    d, v, y, v_scale, y_scale = _scales(prob)
     max_iter = _pivot_budget(prob)
     start = _phase1(A, d, v, max_iter)
     if start is None:
@@ -274,20 +282,7 @@ def solve(prob: LpProblem) -> LpOutcome:
         full[kept] = c
         c = full
     b = c * y_scale / d
-    return Optimal(solution=b, objective_value=float(prob.objective @ b))
-
-
-def check_bounded(prob: LpProblem) -> np.ndarray | None:
-    """Certificate g >= 0, shape (m,), with A^T g = v, or None when none exists.
-
-    A^T g = v holds within the solver's tolerance. This is phase 1 of
-    ``solve``: no certificate means ``solve`` reports Unbounded.
-    """
-    d, v, _, v_scale, _ = _scales(prob)
-    start = _phase1(prob.constraints, d, v, _pivot_budget(prob))
-    if start is None:
-        return None
-    T, basis, _ = start
-    g = np.zeros(prob.shape[0])
+    # the optimal basic g of the scaled dual, mapped back to A^T g = v
+    g = np.zeros(A.shape[0])
     g[basis] = T[:-1, -1] * v_scale
-    return g
+    return Optimal(solution=b, objective_value=float(prob.objective @ b), dual=g)

@@ -211,3 +211,19 @@ def scale_relative_error(prob, b, b_ref) -> float:
     obj_scale = float(np.abs(v) @ np.maximum(np.abs(b), np.abs(b_ref)))
     gap = abs(float(v @ b) - float(v @ b_ref))
     return max(0.0, float(slack.max()), gap / obj_scale if obj_scale > 0.0 else gap)
+
+
+def dual_residuals(prob, g, b) -> tuple[float, float]:
+    """Scale-relative residuals of a dual certificate g for the primal optimum b.
+
+    The first is max_j |A^T g - v|_j / (|A|^T |g| + |v|)_j, the second
+    |y.g - v.b| / (|y|.|g| + |v|.|b|). Each residual is at most its scale, so
+    a zero scale means an exact equation and counts as 0.
+    """
+    v, A, y = prob.objective, prob.constraints, prob.rhs
+    scale = np.abs(A).T @ np.abs(g) + np.abs(v)
+    residual = np.abs(A.T @ g - v)
+    feasibility = float(np.max(residual / np.where(scale > 0.0, scale, 1.0)))
+    gap_scale = float(np.abs(y) @ np.abs(g) + np.abs(v) @ np.abs(b))
+    gap = abs(float(y @ g) - float(v @ b))
+    return feasibility, gap / gap_scale if gap_scale > 0.0 else 0.0

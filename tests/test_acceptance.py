@@ -22,7 +22,6 @@ from locfront.lp import (
     LpProblem,
     Optimal,
     Unbounded,
-    check_bounded,
     solve,
 )
 from locfront.synthetic import ModelSpec
@@ -30,7 +29,9 @@ from locfront.windows import clip_window, contains_mask, objective_vector
 
 from oracles import (
     brute_force_ladder_index,
+    dual_residuals,
     enumerate_vertices_oracle,
+    highs_has_certificate,
     quad_monomial_integral,
 )
 
@@ -193,21 +194,27 @@ def test_criterion_05_lp_oracle_equivalence_and_duality():
         best = min(float(prob.objective @ b) for b in vertices)
         if abs(best - out.objective_value) > 1e-7:
             mismatches.append(f"optimum {out.objective_value} vs oracle {best}")
+        # the solver's own dual certificate: g >= 0, A^T g = v, y.g = v.b
+        residual, gap = dual_residuals(prob, out.dual, out.solution)
+        if out.dual.min() < -1e-9 or residual > 1e-9 or gap > 1e-9:
+            mismatches.append(
+                f"dual: min g {out.dual.min():.3g}, residual {residual:.3g}, gap {gap:.3g}"
+            )
         bounded_checked += 1
 
+    # Unbounded carries no certificate, so an independent solver checks it
     consistent = 0
     for _ in range(1000):
         prob = _random_lp(rng)
-        cert = check_bounded(prob)
-        unbounded = isinstance(solve(prob), Unbounded)
-        if (cert is None) == unbounded:
+        if isinstance(solve(prob), Unbounded) == (not highs_has_certificate(prob)):
             consistent += 1
     ok = not mismatches and bounded_checked == 1000 and consistent == 1000
     report(
         5,
         ok,
         f"LP solver vs vertex oracle on {bounded_checked} bounded instances (<=1e-7), "
-        f"duality consistency {consistent}/1000"
+        f"each with its dual certificate (<=1e-9 scale-relative), "
+        f"Unbounded verdict vs HiGHS certificate {consistent}/1000"
         + ("" if not mismatches else f" -- {mismatches[:3]}"),
     )
 

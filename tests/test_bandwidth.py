@@ -223,14 +223,14 @@ class TestAdaptiveBandwidth:
         assert _pilot_alpha(data, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_order_beyond_negative_residuals_fails_before_any_rung(self, monkeypatch):
-        import locfront.bandwidth as bandwidth
+        import locfront.estimator as estimator
 
         data = sine_data(120, seed=7)
 
         def no_fit(*args):
             raise AssertionError("a rung was fitted")
 
-        monkeypatch.setattr(bandwidth, "fit_at", no_fit)
+        monkeypatch.setattr(estimator, "fit_at", no_fit)
         cfg = AdaptiveConfig(grid=self.grid(), hill_order=119)
         with pytest.raises(ValueError, match="adaptive_hill_order"):
             adaptive_bandwidth(data, 1, cfg)

@@ -5,8 +5,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from locfront.bandwidth import AdaptiveConfig, simulation_bandwidth
-from locfront import harness
+from locfront.bandwidth import AdaptiveConfig, adaptive_bandwidth, simulation_bandwidth
+from locfront import estimator, harness
 from locfront.estimator import EstimatorConfig, UnboundedFitError, fit_at
 from locfront.harness import (
     BandwidthRule,
@@ -206,6 +206,29 @@ class TestFailureLabels:
         with pytest.raises(UnboundedFitError, match=label):
             run_rate_study(replace(spec, bandwidth=balanced), workers=1)
 
+    def test_every_study_names_the_failing_grid_point(self, monkeypatch):
+        # every grid goes through fit_grid, which names the point that failed
+        fit_at = estimator.fit_at
+
+        def failing_at_second_point(data, x, cfg):
+            if x.tolist() == [0.5, 0.0]:
+                raise RuntimeError("planted failure")
+            return fit_at(data, x, cfg)
+
+        monkeypatch.setattr(estimator, "fit_at", failing_at_second_point)
+        point = r"grid point 1 at \[0\.5, 0\.0\]: planted failure$"
+        spec = small_center_spec(n_list=(100,), beta_star_list=(1,), replications=1,
+                                 evaluation="grid", grid_points_per_axis=3)
+        with pytest.raises(RuntimeError, match=r"^cell \(beta_star=1, n=100\): " + point):
+            run_mse(spec, workers=1)
+        balanced = replace(spec, n_list=(100, 121, 144, 169),
+                           bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0))
+        with pytest.raises(RuntimeError, match=point):
+            run_rate_study(balanced, eval_grid_size=3, workers=1)
+        data = harness._make_dataset(spec, 1, 100, 0)
+        with pytest.raises(RuntimeError, match=r"^ladder rung k=0 \(h=[^)]*\): " + point):
+            adaptive_bandwidth(data, 1, AdaptiveConfig(grid=evaluation_grid(2, 3)))
+
 
 class TestEvaluationGrid:
     def test_includes_boundary(self):
@@ -271,6 +294,18 @@ class TestRateStudy:
         result = run_rate_study(spec, eval_grid_size=9, workers=1)
         assert result.median_sup_errors[-1] < result.median_sup_errors[0]
         assert result.slope < 0
+
+    def test_zero_median_names_its_n(self, monkeypatch):
+        # a median of exactly 0 has no logarithm; every replication here
+        # returns zero errors at every grid point
+        def zero_errors(args):
+            return np.zeros(len(args[4])), "exact"
+
+        monkeypatch.setattr(harness, "_replication_errors", zero_errors)
+        spec = small_center_spec(q=1, n_list=(50, 100, 200, 400), beta_star_list=(1,),
+                                 bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0))
+        with pytest.raises(ValueError, match="^median sup-error is 0 at n=50;"):
+            run_rate_study(spec, eval_grid_size=3, workers=1)
 
 
 class TestAdaptiveRuns:
@@ -354,6 +389,14 @@ class TestRuleChecks:
             raise AssertionError("a cell ran")
 
         monkeypatch.setattr(harness, "_run_cells", no_cell)
+
+    def test_rate_study_refuses_zero_errors(self):
+        # the zero law has no tail index, so the theory slope is undefined
+        spec = small_center_spec(q=1, n_list=(50, 100, 200, 400), beta_star_list=(3,),
+                                 error=ErrorSpec("zero"), model=ModelSpec("cubic_1d"),
+                                 bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0))
+        with pytest.raises(ValueError, match="^error: the zero law has no tail index"):
+            run_rate_study(spec, workers=1)
 
     def test_mse_refuses_adaptive_rule(self):
         with pytest.raises(ValueError, match="^bandwidth: "):

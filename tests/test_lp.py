@@ -12,12 +12,12 @@ from locfront.lp import (
     Optimal,
     SimplexIterationError,
     Unbounded,
-    check_bounded,
     solve,
 )
 from locfront.windows import clip_window, objective_vector
 
 from oracles import (
+    dual_residuals,
     enumerate_vertices_oracle,
     highs_has_certificate,
     highs_reference,
@@ -137,22 +137,28 @@ class TestProblemValidation:
 
 
 class TestCheckBounded:
+    """``solve``'s dual certificate: g >= 0 with A^T g = v proves the LP
+    bounded, and y.g = v.b proves its solution optimal."""
+
     def test_constant_column_certificate(self):
         prob = LpProblem([0.2], [[1.0], [1.0], [1.0]], [0.3, 0.9, 0.5])
-        g = check_bounded(prob)
-        assert g is not None
-        assert g.min() >= -1e-9
-        assert g.sum() == pytest.approx(0.2, abs=1e-7)
+        out = solve(prob)
+        assert isinstance(out, Optimal)
+        # all the weight sits on the largest response, the one active row
+        npt.assert_allclose(out.dual, [0.0, 0.2, 0.0], atol=1e-12)
+        assert prob.rhs @ out.dual == pytest.approx(out.objective_value, abs=1e-12)
 
     def test_absent_for_unbounded(self):
         prob = LpProblem([0.2, 0.0], [[1.0, 0.05]], [1.0])
-        assert check_bounded(prob) is None
+        assert isinstance(solve(prob), Unbounded)
+        assert not highs_has_certificate(prob)
 
     def test_two_by_two_certificate(self):
         prob = LpProblem([0.2, 0.0], [[1.0, -0.1], [1.0, 0.1]], [1.0, 2.0])
-        cert = check_bounded(prob)
-        assert cert is not None
-        npt.assert_allclose(cert, [0.1, 0.1], atol=1e-7)
+        out = solve(prob)
+        assert isinstance(out, Optimal)
+        npt.assert_allclose(out.dual, [0.1, 0.1], atol=1e-12)
+        assert max(dual_residuals(prob, out.dual, out.solution)) <= 1e-15
 
 
 class TestVertexOracle:
@@ -185,15 +191,16 @@ class TestRandomInstanceProperties:
 
     def test_duality_consistency(self):
         rng = np.random.default_rng(20)
+        optimal = 0
         for _ in range(300):
             prob = random_instance(rng)
             out = solve(prob)
-            g = check_bounded(prob)
-            assert (g is None) == isinstance(out, Unbounded)
-            if g is not None:
-                assert g.min() >= -1e-9
-                residual = prob.constraints.T @ g - prob.objective
-                assert np.abs(residual).max() <= 1e-7
+            if isinstance(out, Optimal):
+                optimal += 1
+                assert out.dual.shape == (prob.shape[0],)
+                assert out.dual.min() >= -1e-9
+                assert max(dual_residuals(prob, out.dual, out.solution)) <= 1e-9
+        assert optimal >= 40  # sanity: the sweep actually checked certificates (47 here)
 
     def test_oracle_equivalence_and_feasibility(self):
         rng = np.random.default_rng(21)
@@ -263,7 +270,7 @@ class TestAgainstHighs:
         assert mismatches == []
 
     def test_unbounded_matches_highs_on_random_instances(self):
-        # solve and check_bounded share phase 1, so check the verdict itself
+        # an Unbounded verdict carries no certificate, so HiGHS checks it
         rng = np.random.default_rng(24)
         for _ in range(300):
             prob = random_instance(rng)
@@ -304,16 +311,16 @@ def test_tie_heavy_lps_match_highs(data):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(tie_heavy_lps)
 def test_tie_heavy_certificates(data):
-    """check_bounded on tie-heavy LPs: redundant equality rows are common, so
-    phase 1 often drops rows, and its certificate must satisfy every row of
-    A^T g = v, dropped ones included, whenever HiGHS finds one."""
+    """solve's dual on tie-heavy LPs: redundant equality rows are common, so
+    phase 1 often drops rows, and an Optimal dual must satisfy every row of
+    A^T g = v, dropped ones included, and close the duality gap. Unbounded
+    must mean that HiGHS finds no certificate either."""
     prob = LpProblem(*data)
-    g = check_bounded(prob)
-    assert (g is None) == (not highs_has_certificate(prob))
-    assert (g is None) == isinstance(solve(prob), Unbounded)
-    if g is not None:
-        assert g.min() >= -1e-9
-        assert np.abs(prob.constraints.T @ g - prob.objective).max() <= 1e-7
+    out = solve(prob)
+    assert isinstance(out, Unbounded) == (not highs_has_certificate(prob))
+    if isinstance(out, Optimal):
+        assert out.dual.min() >= -1e-9
+        assert max(dual_residuals(prob, out.dual, out.solution)) <= 1e-9
 
 
 pivot_entries = st.one_of(

@@ -1,8 +1,9 @@
 """The benchmark traces the package by patching module-level functions.
 
-``benchmarks/run.py`` lists them in ``LAYER_NAMES`` and counts window
-queries through ``windows.contains_mask``; a refactor that moves one of these
-names or changes how often a fit calls it fails here.
+``benchmarks/run.py`` lists them in ``LAYER_NAMES``, counts window queries
+through ``windows.contains_mask`` and fits through ``estimator.fit_at``; a
+refactor that moves one of these names or changes how often it is called
+fails here.
 """
 
 import ast
@@ -13,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from locfront import windows
+from locfront import estimator, windows
+from locfront.bandwidth import AdaptiveConfig, adaptive_bandwidth
 from locfront.estimator import Dataset, EstimatorConfig, fit_at
+from locfront.harness import BandwidthRule, ExperimentSpec, evaluation_grid, run_mse, run_rate_study
 
 RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
 
@@ -66,3 +69,52 @@ class TestOneMaskPerWindow:
         assert len(expected) == 5
         assert mask_calls == expected
         assert fit.effective_bandwidth == expected[-1]
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Bandwidth of each ``estimator.fit_at`` call, the name the benchmark traces."""
+    calls = []
+
+    def counting(data, x, cfg):
+        calls.append(cfg.h)
+        return fit_at(data, x, cfg)
+
+    monkeypatch.setattr(estimator, "fit_at", counting)
+    return calls
+
+
+class TestOneFitPerGridPoint:
+    """Every study fits its grids through ``estimator.fit_grid``, one
+    ``estimator.fit_at`` call per point, so the benchmark's span sees every fit."""
+
+    def test_mse_fits_every_point_of_every_replication(self, fit_calls):
+        spec = ExperimentSpec(q=2, n_list=(100,), beta_star_list=(1,), replications=2,
+                              master_seed=4, evaluation="grid", grid_points_per_axis=3)
+        run_mse(spec, workers=1)
+        assert len(fit_calls) == 9 * 2
+
+    def test_rate_study_fits_every_point_of_every_replication(self, fit_calls):
+        spec = ExperimentSpec(q=1, n_list=(40, 50, 60, 70), beta_star_list=(1,),
+                              replications=2, master_seed=4,
+                              bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0))
+        run_rate_study(spec, eval_grid_size=3, workers=1)
+        assert len(fit_calls) == 3 * 2 * 4
+
+    def test_ladder_fits_every_point_of_every_rung(self, fit_calls):
+        rng = np.random.default_rng(4)
+        points = rng.uniform(size=(150, 2))
+        data = Dataset(points, points.sum(axis=1) - rng.exponential(size=150))
+        result = adaptive_bandwidth(data, 1, AdaptiveConfig(grid=evaluation_grid(2, 3)))
+        assert fit_calls == [float(h) for h in result.bandwidths for _ in range(9)]
+
+
+def test_only_the_estimator_calls_fit_at():
+    callers = set()
+    for path in sorted(Path(estimator.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "fit_at":
+                    callers.add(path.name)
+    assert callers == {"estimator.py"}
