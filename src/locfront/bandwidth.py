@@ -183,7 +183,8 @@ def adaptive_bandwidth(
     K = floor(log_rho(n**(1-s))), each capped at 1 before fitting. Fits use
     degree degradation and window expansion so a rung never fails outright;
     per-rung failures from deeper numerical trouble propagate with the rung
-    index attached.
+    index attached. Each rung's LP at a grid point starts from the optimal
+    rows of the rung below at that point (``FitResult.active_rows``).
     """
     n = data.n
     K = int(math.floor((1.0 - cfg.s) * math.log(n) / math.log(cfg.rho))) if n > 1 else 0
@@ -197,10 +198,13 @@ def adaptive_bandwidth(
     # the pilot needs no rung, so a Hill order the data cannot support fails first
     alpha_hat = _pilot_alpha(data, cfg)
     estimates = np.empty((K + 2, grid.shape[0]))
+    starts = None
     for k in range(K + 2):
         fit_cfg = EstimatorConfig(beta_star=beta_star, h=float(capped[k]), **LADDER_POLICIES)
         try:
-            estimates[k] = [fit.value for fit in fit_grid(data, grid, fit_cfg)]
+            fits = fit_grid(data, grid, fit_cfg, starts)
+            estimates[k] = [fit.value for fit in fits]
+            starts = [fit.active_rows for fit in fits]
         except (ValueError, RuntimeError) as err:
             raise type(err)(f"ladder rung k={k} (h={capped[k]:.4g}): {err}") from err
 

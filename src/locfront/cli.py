@@ -7,8 +7,9 @@ simulate   Run a Monte Carlo experiment from a config file (CSV + JSON out).
 rate-study Empirical convergence-rate study under the balanced bandwidth.
 adaptive   Ladder bandwidth selection per replication, with diagnostics.
 
-All failures exit nonzero after printing a one-line JSON error record to
-stderr. Worker-process count comes from --workers or LOCFRONT_WORKERS.
+All failures, bad command-line arguments included, exit nonzero after
+printing a one-line JSON error record to stderr; ``--help`` prints its text
+and exits 0. Worker-process count comes from --workers or LOCFRONT_WORKERS.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ def _read_config(path: str) -> dict[str, str]:
         return harness.parse_config(fh.read())
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its errors as ConfigError, so they end
+    in the JSON error record rather than argparse's usage text; the
+    subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
@@ -41,7 +51,7 @@ def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="locfront",
         description="Local polynomial frontier estimation and its Monte Carlo harness",
     )
@@ -111,6 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
+    if args.beta_star < 0:
+        raise ConfigError(f"--beta-star must be >= 0, got {args.beta_star}")
     data = load_dataset(args.dataset)
     try:
         rule = (harness.BandwidthRule("simulation") if args.bandwidth == "simulation"
@@ -205,8 +217,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, DatasetFormatError, ValueError, RuntimeError, OSError) as err:
         record = {"error": type(err).__name__, "message": str(err)}

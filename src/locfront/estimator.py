@@ -132,7 +132,9 @@ class FitResult:
     ``status`` is "exact" for an untouched fit, "degraded" when the degree was
     lowered to restore boundedness, "expanded" when the window had to grow to
     find data. If both fallbacks fire, "degraded" wins; the bandwidth actually
-    used is always in ``effective_bandwidth``.
+    used is always in ``effective_bandwidth``. ``active_rows`` holds the
+    ascending dataset row numbers of the LP's optimal basis, the responses
+    the polynomial touches; they can start a fit at a nearby window.
     """
 
     value: float
@@ -141,9 +143,22 @@ class FitResult:
     effective_degree: int
     effective_bandwidth: float
     n_active: int
+    active_rows: np.ndarray
 
 
-def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
+def _start_positions(rows: np.ndarray, start, p: int):
+    """Window positions of the dataset rows ``start``, or None unless there
+    are exactly p of them and every one lies in the window ``rows``."""
+    if start is None or len(start) != p:
+        return None
+    positions = np.searchsorted(rows, start)
+    # a row past the window's last is clipped onto it and then differs
+    if np.array_equal(rows.take(positions, mode="clip"), start):
+        return positions
+    return None
+
+
+def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
     """Fit the frontier polynomial at a single evaluation point.
 
     Parameters
@@ -152,6 +167,12 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
     x : array-like, shape (q,)
         Evaluation point in the unit cube.
     cfg : EstimatorConfig
+    start : array-like of int, optional
+        Dataset row numbers to start the LP from, such as the
+        ``active_rows`` of a fit on a nearby window. Used only at the degree
+        whose basis has as many terms as ``start`` has rows, and only when
+        every one of them lies in the window; the fit is the same with or
+        without it, up to the choice among tied optimal bases.
 
     Returns
     -------
@@ -196,7 +217,8 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
     while True:
         basis_k = enumerate_basis(data.q, degree)
         p_k = len(basis_k)
-        outcome = lp.solve(lp.LpProblem(v_full[:p_k], A_full[:, :p_k], y_shifted))
+        outcome = lp.solve(lp.LpProblem(v_full[:p_k], A_full[:, :p_k], y_shifted),
+                           start=_start_positions(rows, start, p_k))
         if isinstance(outcome, lp.Optimal):
             coeffs = outcome.solution.copy()
             coeffs[0] += shift
@@ -213,6 +235,7 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig) -> FitResult:
                 effective_degree=degree,
                 effective_bandwidth=h_eff,
                 n_active=n_active,
+                active_rows=rows.take(outcome.active),
             )
         if isinstance(outcome, lp.Unbounded):
             if cfg.fallback == "error":
@@ -249,16 +272,19 @@ def fit_local_constant(data: Dataset, x, h: float):
     return float(fitted[0]) if single else fitted
 
 
-def fit_grid(data: Dataset, grid, cfg: EstimatorConfig) -> list[FitResult]:
+def fit_grid(data: Dataset, grid, cfg: EstimatorConfig, starts=None) -> list[FitResult]:
     """fit_at over a list of points; order of results matches the input.
 
     The package's one grid loop, for ``locfront fit``, the Monte Carlo runs
-    and every ladder rung; a failure is re-raised naming its grid point."""
+    and every ladder rung; a failure is re-raised naming its grid point.
+    ``starts``, if given, holds one ``fit_at`` start per point (or None)."""
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
+    if starts is None:
+        starts = [None] * pts.shape[0]
     results = []
-    for i, point in enumerate(pts):
+    for i, (point, start) in enumerate(zip(pts, starts, strict=True)):
         try:
-            results.append(fit_at(data, point, cfg))
+            results.append(fit_at(data, point, cfg, start=start))
         except (ValueError, RuntimeError) as err:
             raise type(err)(f"grid point {i} at {point.tolist()}: {err}") from err
     return results

@@ -11,10 +11,22 @@ row. Phase 1 finds a g >= 0 with A^T g = v. Such a g exists exactly when v.b
 is bounded below on the (nonempty) feasible set, so phase 1 is the
 boundedness test. Phase 2 maximizes y.g from there: an unbounded dual means
 the constraints are infeasible, and an optimal basis B gives the primal
-solution by one square solve of A_B b = y_B on its active rows. ``solve`` is
-the only entry point, and an Optimal outcome carries its own certificate:
-the optimal g as ``dual``. g >= 0 with A^T g = v proves v.b bounded below,
+solution by one square solve of A_B b = y_B on its active rows, taken in
+ascending order, so b depends on the optimal row set and not on the pivots
+that reached it. ``solve`` is the only entry point, and an Optimal outcome
+carries its own certificate: the optimal g as ``dual``, and the ascending
+active rows as ``active``. g >= 0 with A^T g = v proves v.b bounded below,
 and y.g = v.b proves the solution optimal.
+
+A basis of the dual is a set of p data rows, so ``solve`` can start from one
+(``start``, say the optimal rows of a fit on a nearby window). Phase 1 then
+begins from B^-1 [(A/d)^T | v] with B the start's columns: a row whose basic
+value is negative is negated and put on an artificial, and every other row
+keeps its start row as its basic variable. That is a repair phase: it pivots
+only the rows the start gets wrong, and a start that is already dual
+feasible pays no phase-1 pivot. Without a start, or with a B that is
+singular or ill-conditioned, every row takes an artificial (the cold start).
+Both run the same simplex, redundant-row cleanup and phase 2.
 
 Tolerances are scale-free. The entries of a windowed objective shrink like
 h^(q+|j|), so the tableau is built with every column of A scaled to unit
@@ -82,12 +94,15 @@ class LpProblem:
 @dataclass(frozen=True)
 class Optimal:
     """Optimal b and its dual certificate g, shape (m,): g >= 0, A^T g = v and
-    y.g = v.b, each within the solver's tolerance. ``dual`` is None only on
-    an outcome built by hand without one."""
+    y.g = v.b, each within the solver's tolerance. ``active`` holds the
+    ascending row positions of the optimal basis, the rows b meets with
+    equality. ``dual`` and ``active`` are None only on an outcome built by
+    hand without them."""
 
     solution: np.ndarray
     objective_value: float
     dual: np.ndarray | None = None
+    active: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -206,9 +221,41 @@ def _pivot_budget(prob: LpProblem) -> int:
     return 500 + 20 * (m + p)
 
 
-def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int):
+def _start_tableau(A, d, v, start, T: np.ndarray) -> list[int] | None:
+    """Write the phase-1 tableau of the start rows into T; return its basis.
+
+    The rows are B^-1 [(A / d)^T | v] for B = (A / d)^T[:, start], from one
+    inverse; the constraint part is (B^-1 / d) A^T, which spares scaling all
+    of A. A row whose basic value B^-1 v is negative is negated and put on
+    the artificial m + i of its row i; the cost row is the artificials' unit
+    cost reduced against that basis. Returns None, with T left for the cold
+    start to overwrite, when B is singular or B^-1 B is off the identity by
+    more than TOL.
+    """
+    m, p = A.shape
+    try:
+        inverse = np.linalg.inv((A.take(start, axis=0) / d).T)
+    except np.linalg.LinAlgError:
+        return None
+    np.matmul(inverse / d, A.T, out=T[:p, :m])
+    np.matmul(inverse, v, out=T[:p, m])
+    # the start columns of the product are B^-1 B; NaN fails the test too
+    unit = T[:p].take(start, axis=1)
+    unit.flat[:: p + 1] -= 1.0
+    if not np.abs(unit, out=unit).max() <= TOL:
+        return None
+    values = T[:p, m].tolist()
+    sign = np.array([-1.0 if c < 0.0 else 1.0 for c in values])
+    T[:p] *= sign[:, None]
+    # unit cost on the artificials, reduced: minus the sum of the negated rows
+    np.matmul(np.minimum(sign, 0.0), T[:p], out=T[p])
+    return [m + i if c < 0.0 else int(k) for i, (c, k) in enumerate(zip(values, start))]
+
+
+def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int, start=None):
     """Basic solution of {g >= 0 : (A / d)^T g = v} in the scaled problem.
 
+    ``start`` is p row positions to begin from (``_start_tableau``), or None.
     Returns None when the set is empty. Otherwise returns (T, basis, kept):
     the tableau with its phase-1 cost row, the basic column of each tableau
     row, and the equality rows left after dropping the redundant ones, which
@@ -216,19 +263,23 @@ def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int):
     the tableau the pivots ran on and ``kept`` is the full slice.
     """
     m, p = A.shape
-    # Rows are oriented to a nonnegative rhs and start on artificial basics,
-    # numbered m..m+p-1. Their columns are not stored: an artificial that
-    # leaves the basis never re-enters, and none is needed afterwards.
-    sign = np.array([-1.0 if c < 0.0 else 1.0 for c in v.tolist()])
     T = np.empty((p + 1, m + 1))
     work = np.empty_like(T)
-    # A / -d is -(A / d) bit for bit, so one divide writes the oriented rows
-    np.divide(A.T, (sign * d)[:, None], out=T[:p, :m])
-    T[:p, m] = sign * v
-    # unit cost on the artificials, reduced against the artificial basis
-    np.add.reduce(T[:p], axis=0, out=T[p])
-    np.negative(T[p], out=T[p])
-    basis = list(range(m, m + p))
+    # Artificial basics are numbered m..m+p-1, one per tableau row. Their
+    # columns are not stored: an artificial that leaves the basis never
+    # re-enters, and none is needed afterwards.
+    basis = None if start is None else _start_tableau(A, d, v, start, T)
+    warm = basis is not None
+    if not warm:
+        # cold: every row is oriented to a nonnegative rhs, on an artificial
+        sign = np.array([-1.0 if c < 0.0 else 1.0 for c in v.tolist()])
+        # A / -d is -(A / d) bit for bit, so one divide writes the oriented rows
+        np.divide(A.T, (sign * d)[:, None], out=T[:p, :m])
+        T[:p, m] = sign * v
+        # unit cost on the artificials, reduced against the artificial basis
+        np.add.reduce(T[:p], axis=0, out=T[p])
+        np.negative(T[p], out=T[p])
+        basis = list(range(m, m + p))
     if _run_simplex(T, basis, max_iter, work) != "optimal":
         # the artificial sum is bounded below by zero; anything else is breakdown
         raise SimplexIterationError("phase 1 of the dual ended unbounded")
@@ -249,23 +300,33 @@ def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int):
         rows.append(i)
     if not dropped:
         return T, basis, slice(None)
+    if warm:
+        # a start basis spans every equality row, so a row that looks
+        # redundant is rounding trouble, and the cold start decides instead
+        return _phase1(A, d, v, max_iter)
     kept = [j for j in range(p) if j not in dropped]
     return T[rows + [p]], [basis[i] for i in rows], kept
 
 
-def solve(prob: LpProblem) -> LpOutcome:
+def solve(prob: LpProblem, start=None) -> LpOutcome:
     """Solve the LP, reporting Optimal / Unbounded / Infeasible.
 
-    A simplex phase that exceeds ``_pivot_budget(prob)`` pivots raises
-    SimplexIterationError rather than returning an outcome.
+    ``start`` is an optional start basis: p distinct row positions, such as
+    a neighbouring fit's ``Optimal.active``. It changes the pivots taken,
+    not the outcome; a start whose rows are singular or ill-conditioned is
+    ignored. A simplex phase that exceeds ``_pivot_budget(prob)`` pivots
+    raises SimplexIterationError rather than returning an outcome.
     """
     A = prob.constraints
+    m, p = A.shape
+    if start is not None and len(start) != p:
+        raise ValueError(f"a start basis needs {p} rows, got {len(start)}")
     d, v, y, v_scale, y_scale = _scales(prob)
     max_iter = _pivot_budget(prob)
-    start = _phase1(A, d, v, max_iter)
-    if start is None:
+    phase1 = _phase1(A, d, v, max_iter, start)
+    if phase1 is None:
         return Unbounded()
-    T, basis, kept = start
+    T, basis, kept = phase1
 
     # phase 2: maximize y.g, i.e. minimize -y.g; the cost row y_B T - y,
     # reduced against the basis, is written in place
@@ -275,14 +336,17 @@ def solve(prob: LpProblem) -> LpOutcome:
     if _run_simplex(T, basis, max_iter, np.empty_like(T)) == "unbounded":
         return Infeasible()
 
-    # the active rows hold with equality: A_B b = y_B, redundant coefficients 0
-    c = np.linalg.solve((A.take(basis, axis=0) / d)[:, kept], y.take(basis))
+    # the active rows hold with equality: A_B b = y_B, redundant coefficients
+    # 0, and the rows are taken in ascending order whatever the pivot path
+    active = np.array(sorted(basis), dtype=np.intp)
+    c = np.linalg.solve((A.take(active, axis=0) / d)[:, kept], y.take(active))
     if c.shape[0] < d.shape[0]:
         full = np.zeros(d.shape[0])
         full[kept] = c
         c = full
     b = c * y_scale / d
     # the optimal basic g of the scaled dual, mapped back to A^T g = v
-    g = np.zeros(A.shape[0])
+    g = np.zeros(m)
     g[basis] = T[:-1, -1] * v_scale
-    return Optimal(solution=b, objective_value=float(prob.objective @ b), dual=g)
+    return Optimal(solution=b, objective_value=float(prob.objective @ b), dual=g,
+                   active=active)

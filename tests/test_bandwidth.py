@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from locfront import lp
 from locfront.bandwidth import (
+    LADDER_POLICIES,
     AdaptiveConfig,
     _pilot_alpha,
     adaptive_bandwidth,
@@ -12,6 +14,8 @@ from locfront.bandwidth import (
     select_bandwidth_index,
     simulation_bandwidth,
 )
+from locfront.estimator import EstimatorConfig, fit_grid
+from locfront.harness import evaluation_grid
 from locfront.synthetic import ErrorSpec, ModelSpec, gen_design, make_sample, sample_errors
 from locfront.synthetic import DesignSpec
 
@@ -234,6 +238,39 @@ class TestAdaptiveBandwidth:
         cfg = AdaptiveConfig(grid=self.grid(), hill_order=119)
         with pytest.raises(ValueError, match="adaptive_hill_order"):
             adaptive_bandwidth(data, 1, cfg)
+
+    @pytest.mark.parametrize(
+        "q,n,seed,beta_star,s,grid",
+        [(1, 40, 21, 1, 0.05, np.linspace(0.0, 1.0, 21)[:, None]),
+         (2, 100, 22, 1, 0.2, evaluation_grid(2, 5))],
+        ids=["q1", "q2"],
+    )
+    def test_warm_ladder_equals_cold_rungs(self, monkeypatch, q, n, seed, beta_star, s, grid):
+        """Each rung's LPs start from the optimal rows of the rung below; the
+        estimates are the bytes of a cold ``fit_grid`` per rung. A small s
+        starts the ladder at windows that hold few points, so it has
+        degraded and expanded fits, where the start has the wrong length
+        or rows outside the window."""
+        data = sine_data(n, seed=seed, q=q)
+        warm = []
+        solve = lp.solve
+
+        def recording(prob, start=None):
+            warm.append(start is not None)
+            return solve(prob, start=start)
+
+        monkeypatch.setattr(lp, "solve", recording)
+        res = adaptive_bandwidth(data, beta_star, AdaptiveConfig(grid=grid, s=s))
+        assert 3 * sum(warm) >= len(warm)  # at least a third of the LPs start warm
+        statuses = set()
+        cold = np.empty_like(res.grid_estimates)
+        for k, h in enumerate(res.bandwidths):
+            cfg = EstimatorConfig(beta_star=beta_star, h=float(h), **LADDER_POLICIES)
+            fits = fit_grid(data, grid, cfg)
+            statuses.update(fit.status for fit in fits)
+            cold[k] = [fit.value for fit in fits]
+        assert {"degraded", "expanded"} <= statuses
+        assert cold.tobytes() == res.grid_estimates.tobytes()
 
     def test_grid_dimension_checked(self):
         data = sine_data(100, seed=6)

@@ -165,6 +165,54 @@ class TestFitCommand:
         assert json.loads(proc.stderr)["error"] == error
 
 
+class TestArgumentErrors:
+    """argparse's errors end in the JSON error record and exit 2, as every
+    other failure does; ``--help`` still exits 0."""
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [(["fit", "{data}", "--point", "0.5", "--fallback", "bogus"], "--fallback"),
+         (["fit", "{data}", "--grid", "x"], "--grid"),
+         (["fit", "{data}", "--point", "0.5", "--beta-star", "1.5"], "--beta-star"),
+         (["simulate", "--out-csv", "a.csv", "--out-json", "a.json"], "--config"),
+         (["rate-study", "--config", "c.cfg", "--out-json", "a.json", "--workers", "two"],
+          "--workers"),
+         (["adaptive", "--out-csv", "a.csv"], "--config"),
+         ([], "command"),
+         (["bogus"], "command")],
+        ids=["choice", "int", "beta-star-int", "required", "workers", "required-adaptive",
+             "no-command", "unknown-command"],
+    )
+    def test_exit_2_with_a_record_naming_the_flag(self, dataset_file, capsys, args, flag):
+        path, _ = dataset_file
+        assert main([arg.format(data=path) for arg in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "ConfigError"
+        assert flag in record["message"]
+
+    @pytest.mark.parametrize("args", [["--help"], ["fit", "--help"], ["adaptive", "-h"]])
+    def test_help_exits_0(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 0
+        assert "usage: locfront" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bandwidth", [[], ["--bandwidth", "0.5"]], ids=["simulation", "fixed"])
+    def test_negative_beta_star_is_named(self, dataset_file, tmp_path, capsys, bandwidth):
+        path, _ = dataset_file
+        out = tmp_path / "fits.csv"
+        code = main(["fit", str(path), "--point", "0.5", "--beta-star", "-1", *bandwidth,
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ConfigError", "message": "--beta-star must be >= 0, got -1"}
+
+
 class TestSimulateCommand:
     def test_end_to_end_matches_library(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

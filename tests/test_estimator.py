@@ -313,6 +313,55 @@ class TestDatasetValidation:
         assert_same_fit(fit_at(copy, [0.4, 0.5], cfg), before)
 
 
+class TestStartRows:
+    """``FitResult.active_rows`` and the ``start`` they give a later fit."""
+
+    def test_active_rows_are_window_rows_the_fit_touches(self):
+        rng = np.random.default_rng(48)
+        ds = sine_dataset(rng, 300, q=2)
+        grid = rng.uniform(0, 1, (20, 2))
+        fits = fit_grid(ds, grid, EstimatorConfig(beta_star=2, h=0.1))
+        assert {fit.status for fit in fits} == {"exact", "degraded"}
+        for x, fit in zip(grid, fits):
+            rows = fit.active_rows
+            assert rows.tolist() == sorted(set(rows.tolist()))
+            assert rows.size == len(fit.coeffs.coeffs)
+            assert set(rows.tolist()) <= set(window_rows(clip_window(x, 0.1), ds.index).tolist())
+            npt.assert_allclose(eval_poly(fit.coeffs, ds.points[rows], x),
+                                ds.responses[rows], rtol=0, atol=1e-9)
+
+    def test_start_is_used_only_when_it_fits_window_and_degree(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        ds = sine_dataset(rng, 200)
+        x = np.array([0.5])
+        below = fit_at(ds, x, EstimatorConfig(beta_star=2, h=0.1))
+        cfg = EstimatorConfig(beta_star=2, h=0.15)
+        cold = fit_at(ds, x, cfg)
+        far = int(np.argmax(np.abs(ds.points[:, 0] - 0.5)))
+        starts = []
+        solve = lp.solve
+
+        def recording(prob, start=None):
+            starts.append(start)
+            return solve(prob, start=start)
+
+        monkeypatch.setattr(lp, "solve", recording)
+        for start, used in ((below.active_rows, True),
+                            (below.active_rows[:2], False),  # p = 2 is no degree-2 basis
+                            (np.sort([far, *below.active_rows[1:]]), False)):
+            starts.clear()
+            fit = fit_at(ds, x, cfg, start=start)
+            assert (starts[0] is not None) == used
+            assert_same_fit(fit, cold)
+            npt.assert_array_equal(fit.active_rows, cold.active_rows)
+
+    def test_one_start_per_grid_point(self):
+        ds = sine_dataset(np.random.default_rng(50), 50)
+        cfg = EstimatorConfig(beta_star=1, h=0.3)
+        with pytest.raises(ValueError):
+            fit_grid(ds, [[0.2], [0.8]], cfg, starts=[None])
+
+
 def full_mask_fit(ds, x, cfg):
     """fit_at's recipe with the window rows taken from a full-array mask:
     (value, n_active, effective_bandwidth, effective_degree)."""

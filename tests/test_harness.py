@@ -210,10 +210,10 @@ class TestFailureLabels:
         # every grid goes through fit_grid, which names the point that failed
         fit_at = estimator.fit_at
 
-        def failing_at_second_point(data, x, cfg):
+        def failing_at_second_point(data, x, cfg, start=None):
             if x.tolist() == [0.5, 0.0]:
                 raise RuntimeError("planted failure")
-            return fit_at(data, x, cfg)
+            return fit_at(data, x, cfg, start=start)
 
         monkeypatch.setattr(estimator, "fit_at", failing_at_second_point)
         point = r"grid point 1 at \[0\.5, 0\.0\]: planted failure$"

@@ -76,9 +76,9 @@ def fit_calls(monkeypatch):
     """Bandwidth of each ``estimator.fit_at`` call, the name the benchmark traces."""
     calls = []
 
-    def counting(data, x, cfg):
+    def counting(data, x, cfg, start=None):
         calls.append(cfg.h)
-        return fit_at(data, x, cfg)
+        return fit_at(data, x, cfg, start=start)
 
     monkeypatch.setattr(estimator, "fit_at", counting)
     return calls
