@@ -9,7 +9,7 @@ adaptive   Ladder bandwidth selection per replication, with diagnostics.
 
 All failures, bad command-line arguments included, exit nonzero after
 printing a one-line JSON error record to stderr; ``--help`` prints its text
-and exits 0. Worker-process count comes from --workers or LOCFRONT_WORKERS.
+and exits 0. The worker count, an integer >= 1, comes from --workers or LOCFRONT_WORKERS.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ConfigError(message)
-
-
-def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: LOCFRONT_WORKERS or all cores)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,15 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="experiment config file")
     sim.add_argument("--out-csv", required=True, help="result table CSV path")
     sim.add_argument("--out-json", required=True, help="JSON summary path")
-    _add_workers_flag(sim)
 
     rate = sub.add_parser("rate-study", help="convergence-rate study")
     rate.add_argument("--config", required=True)
     rate.add_argument("--out-json", required=True)
     rate.add_argument(
-        "--eval-grid", type=int, default=33, help="sup-error grid points per axis"
+        "--eval-grid", type=int, default=None,
+        help="sup-error grid points per axis (default: run_rate_study's eval_grid_size)",
     )
-    _add_workers_flag(rate)
 
     adapt = sub.add_parser("adaptive", help="ladder bandwidth selection runs")
     adapt.add_argument("--config", required=True)
@@ -115,9 +105,21 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write one ladder diagnostics CSV per replication here",
     )
-    _add_workers_flag(adapt)
-
+    for study in (sim, rate, adapt):
+        study.add_argument(
+            "--workers", help="worker processes (default: LOCFRONT_WORKERS or all cores)"
+        )
     return parser
+
+
+def _parse_point(raw: str, q: int) -> list[float]:
+    try:
+        point = [float(part) for part in raw.split(",")]
+    except ValueError:
+        point = []  # refused below, as a point of the wrong length
+    if len(point) != q:
+        raise ConfigError(f"--point expects {q} comma-separated numbers, got {raw!r}")
+    return point
 
 
 def _cmd_fit(args) -> int:
@@ -145,13 +147,7 @@ def _cmd_fit(args) -> int:
         except ValueError as err:
             raise ConfigError(f"--grid: {err}") from None
     elif args.point:
-        points = []
-        for raw in args.point:
-            try:
-                points.append([float(part) for part in raw.split(",")])
-            except ValueError:
-                raise ConfigError(f"--point expects numbers, got {raw!r}") from None
-        points = np.asarray(points)
+        points = np.array([_parse_point(raw, data.q) for raw in args.point])
     else:
         raise ConfigError("fit needs --point or --grid")
 
@@ -189,7 +185,8 @@ def _cmd_rate_study(args) -> int:
     cfg = _read_config(args.config)
     spec = harness.build_experiment_spec(cfg)
     grid_size = harness.config_int(cfg, "rate_grid", args.eval_grid)
-    result = harness.run_rate_study(spec, eval_grid_size=grid_size, workers=args.workers)
+    sizes = {} if grid_size is None else {"eval_grid_size": grid_size}
+    result = harness.run_rate_study(spec, workers=args.workers, **sizes)
     harness.write_rate_json(result, args.out_json)
     return 0
 
@@ -219,6 +216,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "workers", None) is not None:
+            args.workers = harness.worker_count(args.workers, "--workers")
         return _COMMANDS[args.command](args)
     except (ConfigError, DatasetFormatError, ValueError, RuntimeError, OSError) as err:
         record = {"error": type(err).__name__, "message": str(err)}

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -127,7 +128,8 @@ class ExperimentSpec:
         if self.evaluation not in ("center", "grid"):
             raise ValueError("evaluation must be 'center' or 'grid'")
         if self.evaluation == "grid" and self.grid_points_per_axis < 1:
-            raise ValueError("grid evaluation needs at least 1 point per axis")
+            raise ValueError("evaluation: grid needs at least 1 point per axis, "
+                             f"got {self.grid_points_per_axis}")
         if self.design not in _DESIGN_KINDS:
             raise ValueError(f"design must be one of {_DESIGN_KINDS}, got {self.design!r}")
         off_lattice = [n for n in self.n_list
@@ -164,17 +166,23 @@ class ResultTable:
         ]
 
 
+def worker_count(raw, source: str) -> int:
+    """``raw``, an int or its decimal text, as a worker count: an integer >= 1.
+    The one rule for ``--workers``, ``LOCFRONT_WORKERS`` and the ``workers``
+    of the ``run_*`` studies; a refusal raises ConfigError naming ``source``."""
+    try:
+        value = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        value = 0  # refused below, with the counts under 1
+    if value < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def default_workers() -> int:
+    """The worker count of ``LOCFRONT_WORKERS`` when it is set, else every core."""
     raw = os.environ.get(WORKERS_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError as err:
-            raise ConfigError(f"{WORKERS_ENV}={raw!r} is not an integer") from err
-        if value < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be >= 1")
-        return value
-    return os.cpu_count() or 1
+    return worker_count(raw, WORKERS_ENV) if raw else os.cpu_count() or 1
 
 
 def _make_dataset(spec: ExperimentSpec, beta_star: int, n: int, r: int) -> Dataset:
@@ -228,10 +236,11 @@ def _run_cells(task_fn, spec: ExperimentSpec, extra, workers: int | None) -> lis
     """``(beta_star, n, results)`` per cell, ``results`` holding
     ``task_fn((spec, beta_star, n, r, extra))`` for every replication r.
 
-    Each cell runs on its own process pool when workers > 1. A failing
+    Each cell runs on its own process pool when workers > 1; a worker count
+    that ``worker_count`` refuses fails before any cell. A failing
     replication is re-raised with its cell attached.
     """
-    workers = default_workers() if workers is None else workers
+    workers = default_workers() if workers is None else worker_count(workers, "workers")
     cells = []
     for beta_star in spec.beta_star_list:
         for n in spec.n_list:
@@ -464,65 +473,73 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
+def _read(convert, text: str, key: str, noun: str):
+    """``convert(text)``, its ValueError raised as a ConfigError naming ``key``."""
+    try:
+        return convert(text)
+    except ValueError as err:
+        raise ConfigError(f"{key}: expected {noun}, got {text!r}") from err
+
+
 def config_int(cfg: dict[str, str], key: str, default: int | None = None) -> int | None:
     """Integer value of ``key``, or ``default`` when the key is absent."""
-    if key not in cfg:
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError as err:
-        raise ConfigError(f"{key}: expected an integer, got {cfg[key]!r}") from err
+    return _read(int, cfg[key], key, "an integer") if key in cfg else default
 
 
-def config_float(cfg: dict[str, str], key: str, default: float) -> float:
-    """Float value of ``key``, or ``default`` when the key is absent."""
-    if key not in cfg:
-        return default
-    try:
-        return float(cfg[key])
-    except ValueError as err:
-        raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from err
+def config_float(cfg: dict[str, str], key: str) -> float:
+    """Float value of ``key``, which ``cfg`` holds."""
+    return _read(float, cfg[key], key, "a number")
 
 
-def _int_list(value: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in value.split(","))
-    except ValueError as err:
-        raise ConfigError(f"{key}: expected comma-separated integers, got {value!r}") from err
+def _int_list(cfg: dict[str, str], key: str) -> tuple[int, ...]:
+    return _read(lambda text: tuple(map(int, text.split(","))), cfg[key], key,
+                 "comma-separated integers")
 
 
 def _parse_error(value: str) -> ErrorSpec:
+    kind, colon, shape = value.partition(":")
     if value == "exponential":
         return ErrorSpec("exponential_unit")
     if value == "zero":
         return ErrorSpec("zero")
-    if value.startswith("weibull:"):
-        try:
-            return ErrorSpec("weibull", alpha=float(value.split(":", 1)[1]))
-        except ValueError as err:
-            raise ConfigError(f"error: bad weibull shape in {value!r}") from err
+    if kind == "weibull" and colon:
+        return ErrorSpec("weibull", alpha=_read(float, shape, "error", "a weibull shape"))
     raise ConfigError(f"error: expected 'exponential' or 'weibull:<alpha>', got {value!r}")
 
 
 def _parse_bandwidth(value: str) -> BandwidthRule:
+    kind, colon, params = value.partition(":")
     if value in ("simulation", "adaptive"):
         return BandwidthRule(value)
-    if value.startswith("fixed:"):
-        try:
-            return BandwidthRule("fixed", h=float(value.split(":", 1)[1]))
-        except ValueError as err:
-            raise ConfigError(f"bandwidth: bad fixed value in {value!r}") from err
-    if value.startswith("balanced:"):
-        parts = value.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"bandwidth: expected 'balanced:<alpha>,<beta>', got {value!r}")
-        try:
-            return BandwidthRule("balanced", alpha=float(parts[0]), beta=float(parts[1]))
-        except ValueError as err:
-            raise ConfigError(f"bandwidth: bad balanced parameters in {value!r}") from err
+    if kind == "fixed" and colon:
+        return BandwidthRule("fixed", h=_read(float, params, "bandwidth", "a fixed h"))
+    if kind == "balanced" and len(parts := params.split(",")) == 2:
+        alpha, beta = (_read(float, part, "bandwidth", "a balanced parameter") for part in parts)
+        return BandwidthRule("balanced", alpha=alpha, beta=beta)
     raise ConfigError(
         f"bandwidth: expected simulation | fixed:<h> | balanced:<a>,<b> | adaptive, got {value!r}"
     )
+
+
+def _parse_evaluation(value: str) -> dict:
+    """The ExperimentSpec fields of ``center`` or ``grid:<N>``, and of nothing else."""
+    kind, colon, size = value.partition(":")
+    if value == "center":
+        return {"evaluation": "center"}
+    if kind == "grid" and colon:
+        return {"evaluation": "grid",
+                "grid_points_per_axis": _read(int, size, "evaluation", "a grid size")}
+    raise ConfigError(f"evaluation: expected 'center' or 'grid:<N>', got {value!r}")
+
+
+# the optional keys: a spec key sets the ExperimentSpec field of its name, an
+# adaptive_* key the AdaptiveConfig field named here, and a key the config
+# leaves out keeps the field's default
+_SPEC_PARSERS = {"design": str, "error": _parse_error, "model": ModelSpec,
+                 "bandwidth": _parse_bandwidth, "fallback": str, "empty_window": str}
+_ADAPTIVE_KNOBS = {"adaptive_s": ("s", config_float), "adaptive_rho": ("rho", config_float),
+                   "adaptive_constant": ("threshold_constant", config_float),
+                   "adaptive_hill_order": ("hill_order", config_int)}
 
 
 def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
@@ -530,32 +547,17 @@ def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
     for key in ("q", "n", "beta_star", "replications", "seed"):
         if key not in cfg:
             raise ConfigError(f"missing required key {key!r}")
-    evaluation = cfg.get("evaluation", "center")
-    grid_n = 20
-    if evaluation.startswith("grid"):
-        if ":" in evaluation:
-            try:
-                grid_n = int(evaluation.split(":", 1)[1])
-            except ValueError as err:
-                raise ConfigError(f"evaluation: bad grid size in {evaluation!r}") from err
-        evaluation = "grid"
-    elif evaluation != "center":
-        raise ConfigError(f"evaluation: expected 'center' or 'grid:<N>', got {evaluation!r}")
     try:
+        optional = {key: parse(cfg[key]) for key, parse in _SPEC_PARSERS.items() if key in cfg}
+        if "evaluation" in cfg:
+            optional.update(_parse_evaluation(cfg["evaluation"]))
         return ExperimentSpec(
             q=config_int(cfg, "q"),
-            n_list=_int_list(cfg["n"], "n"),
-            beta_star_list=_int_list(cfg["beta_star"], "beta_star"),
+            n_list=_int_list(cfg, "n"),
+            beta_star_list=_int_list(cfg, "beta_star"),
             replications=config_int(cfg, "replications"),
             master_seed=config_int(cfg, "seed"),
-            design=cfg.get("design", "random_uniform"),
-            error=_parse_error(cfg.get("error", "exponential")),
-            model=ModelSpec(cfg.get("model", "sine_sum")),
-            bandwidth=_parse_bandwidth(cfg.get("bandwidth", "simulation")),
-            evaluation=evaluation,
-            grid_points_per_axis=grid_n,
-            fallback=cfg.get("fallback", "degrade_degree"),
-            empty_window=cfg.get("empty_window", "expand"),
+            **optional,
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -566,13 +568,8 @@ def build_adaptive_config(cfg: dict[str, str], q: int) -> AdaptiveConfig:
     grid_n = config_int(cfg, "adaptive_grid", 25)
     if grid_n < 1:
         raise ConfigError("adaptive_grid must be >= 1")
+    knobs = {name: read(cfg, key) for key, (name, read) in _ADAPTIVE_KNOBS.items() if key in cfg}
     try:
-        return AdaptiveConfig(
-            grid=evaluation_grid(q, grid_n),
-            s=config_float(cfg, "adaptive_s", 0.5),
-            rho=config_float(cfg, "adaptive_rho", 1.25),
-            threshold_constant=config_float(cfg, "adaptive_constant", 1.0),
-            hill_order=config_int(cfg, "adaptive_hill_order"),
-        )
+        return AdaptiveConfig(grid=evaluation_grid(q, grid_n), **knobs)
     except ValueError as err:
         raise ConfigError(str(err)) from err

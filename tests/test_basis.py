@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from locfront.basis import (
+    BasisSpec,
     PolyCoeffs,
     enumerate_basis,
     eval_poly,
@@ -28,6 +29,17 @@ class TestEnumerateBasis:
 
     def test_q3_degree3_count(self):
         assert len(enumerate_basis(3, 3)) == 20
+
+    @pytest.mark.parametrize(
+        "q,degree,indices,match",
+        [(0, 1, ((0,),), "^dimension q must be >= 1$"),
+         (1, -1, ((0,),), "^max_degree must be >= 0$"),
+         (2, 1, ((0, 0), (1, 0)), "^basis has 2 indices, expected 3$")],
+        ids=["q-0", "negative-degree", "too-few-indices"],
+    )
+    def test_hand_built_basis_refused(self, q, degree, indices, match):
+        with pytest.raises(ValueError, match=match):
+            BasisSpec(q, degree, indices)
 
     @pytest.mark.parametrize("q,beta_star", itertools.product([1, 2, 3], range(4)))
     def test_completeness(self, q, beta_star):

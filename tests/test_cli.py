@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import locfront
+from locfront import harness
 from locfront.cli import main
 from locfront.estimator import Dataset, EstimatorConfig, fit_at, save_dataset
 from locfront.harness import (
@@ -89,6 +90,21 @@ class TestFitCommand:
         assert record["error"] == "ConfigError"
         assert "--grid" in record["message"]
         assert f"got {grid}" in record["message"]
+
+    @pytest.mark.parametrize(
+        "points",
+        [["0.5", "0.25,0.5"], ["0.5,0.5", "0.5"], ["0.5", "x"], ["0.5,abc"]],
+        ids=["mixed-lengths", "long-first", "non-numeric", "non-numeric-part"],
+    )
+    def test_bad_point_exits_2_naming_the_flag(self, dataset_file, tmp_path, capsys, points):
+        path, _ = dataset_file
+        out = tmp_path / "fits.csv"
+        flags = [arg for point in points for arg in ("--point", point)]
+        assert main(["fit", str(path), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith("--point expects 1 comma-separated numbers, got ")
 
     def test_missing_point_and_grid(self, dataset_file, capsys):
         path, _ = dataset_file
@@ -318,6 +334,25 @@ class TestRateStudyCommand:
         assert payload["n_list"] == [60, 120, 240, 480]
 
     @pytest.mark.parametrize(
+        "config_line,flags,size",
+        [("", [], None), ("", ["--eval-grid", "5"], 5), ("rate_grid = 7", ["--eval-grid", "5"], 7)],
+        ids=["study-default", "flag", "config-over-flag"],
+    )
+    def test_grid_size_source(self, tmp_path, config_line, flags, size):
+        # with neither rate_grid nor --eval-grid, run_rate_study's default holds
+        text = RATE_CONFIG.replace("rate_grid = 7", config_line)
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text(text)
+        out_json = tmp_path / "rate.json"
+        assert main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
+                     "--workers", "1", *flags]) == 0
+        spec = build_experiment_spec(parse_config(text))
+        sizes = {} if size is None else {"eval_grid_size": size}
+        expected = harness.run_rate_study(spec, workers=1, **sizes)
+        assert json.loads(out_json.read_text())["median_sup_errors"] == list(
+            expected.median_sup_errors)
+
+    @pytest.mark.parametrize(
         "rate_grid,error,match",
         [("0", "ValueError", "eval_grid_size"), ("x", "ConfigError", "rate_grid")],
     )
@@ -445,3 +480,53 @@ class TestAdaptiveCommand:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == error
         assert "adaptive_hill_order" in record["message"]
+
+
+class TestWorkerCount:
+    """--workers and LOCFRONT_WORKERS pass the one worker rule, an integer
+    >= 1; a refusal exits 2 naming its source before any cell runs."""
+
+    CONFIGS = {"simulate": SIM_CONFIG, "rate-study": RATE_CONFIG, "adaptive": ADAPTIVE_CONFIG}
+
+    @pytest.fixture
+    def run_study(self, tmp_path, monkeypatch, capsys):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_make_dataset", no_cell)
+
+        def run(command, *flags):
+            cfg_path = tmp_path / "study.cfg"
+            cfg_path.write_text(self.CONFIGS[command])
+            out = tmp_path / "out"
+            outs = {"simulate": ["--out-csv", str(out), "--out-json", str(out)],
+                    "rate-study": ["--out-json", str(out)],
+                    "adaptive": ["--out-csv", str(out)]}[command]
+            code = main([command, "--config", str(cfg_path), *outs, *flags])
+            assert not out.exists()
+            return code, json.loads(capsys.readouterr().err)
+
+        return run
+
+    @pytest.mark.parametrize("command", ["simulate", "rate-study", "adaptive"])
+    @pytest.mark.parametrize("value", ["0", "-5", "1.5", "two"])
+    def test_bad_flag(self, run_study, monkeypatch, command, value):
+        monkeypatch.delenv("LOCFRONT_WORKERS", raising=False)
+        assert run_study(command, "--workers", value) == (2, {
+            "error": "ConfigError", "message": f"--workers must be an integer >= 1, got '{value}'"})
+
+    @pytest.mark.parametrize("command", ["simulate", "rate-study", "adaptive"])
+    @pytest.mark.parametrize("value", ["0", "-5", "two"])
+    def test_bad_environment(self, run_study, monkeypatch, command, value):
+        monkeypatch.setenv("LOCFRONT_WORKERS", value)
+        assert run_study(command) == (2, {
+            "error": "ConfigError",
+            "message": f"LOCFRONT_WORKERS must be an integer >= 1, got '{value}'"})
+
+    def test_flag_overrides_a_bad_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LOCFRONT_WORKERS", "0")
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text(RATE_CONFIG)
+        out = tmp_path / "rate.json"
+        assert main(["rate-study", "--config", str(cfg_path), "--out-json", str(out),
+                     "--workers", "1"]) == 0

@@ -445,6 +445,22 @@ class TestDatasetFiles:
         npt.assert_array_equal(loaded.points, ds.points)
         npt.assert_array_equal(loaded.responses, ds.responses)
 
+    @pytest.mark.parametrize(
+        "text,outcome",
+        [("", "empty file$"),
+         ("x1,y\n\n , \n", "no data rows$"),
+         ("x1,y\n\n0.5,1.0\n , \n0.25,2.0\n\n", [1.0, 2.0])],
+        ids=["empty-file", "only-blank-lines", "blank-lines-skipped"],
+    )
+    def test_empty_file_and_blank_lines(self, tmp_path, text, outcome):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        if isinstance(outcome, str):
+            with pytest.raises(DatasetFormatError, match=outcome):
+                load_dataset(path)
+        else:
+            assert load_dataset(path).responses.tolist() == outcome
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,y\n0.1,0.2,3\n")

@@ -1,6 +1,9 @@
 import io
 import json
-from dataclasses import fields, replace
+import re
+from dataclasses import asdict, fields, replace
+from itertools import dropwhile, takewhile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from locfront.harness import (
     run_adaptive,
     run_mse,
     run_rate_study,
+    worker_count,
     write_adaptive_csv,
     write_adaptive_diagnostics_csv,
     write_csv,
@@ -39,6 +43,10 @@ from locfront.synthetic import (
     make_sample,
     sample_errors,
 )
+
+
+# the config keys every experiment must set
+REQUIRED = {"q": "1", "n": "50", "beta_star": "1", "replications": "2", "seed": "0"}
 
 
 def small_center_spec(**overrides):
@@ -415,6 +423,31 @@ class TestRuleChecks:
         with pytest.raises(ValueError, match=f"^{key}: "):
             run_adaptive(replace(spec, **overrides), AdaptiveConfig(grid=[[0.5, 0.5]]), workers=1)
 
+    @pytest.mark.parametrize(
+        "make,match",
+        [(lambda: small_center_spec(beta_star_list=()), "^beta_star_list must be nonempty$"),
+         (lambda: build_experiment_spec({**REQUIRED, "evaluation": "grid:0"}),
+          "^evaluation: grid needs at least 1 point per axis, got 0$"),
+         (lambda: run_rate_study(small_center_spec(
+             q=1, n_list=(400, 200, 100, 50), beta_star_list=(1,),
+             bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0)), workers=1),
+          "^n_list must be increasing$"),
+         (lambda: run_adaptive(small_center_spec(bandwidth=BandwidthRule("adaptive")),
+                               AdaptiveConfig(grid=[[0.5, 0.5]]), workers=1),
+          "^adaptive runs use one beta_star at a time$"),
+         (lambda: build_experiment_spec({**REQUIRED, "n": "50, x"}),
+          "^n: expected comma-separated integers, got '50, x'$"),
+         (lambda: build_experiment_spec({**REQUIRED, "bandwidth": "fixed:x"}),
+          "^bandwidth: expected a fixed h, got 'x'$"),
+         (lambda: build_adaptive_config({"adaptive_grid": "0"}, 1),
+          "^adaptive_grid must be >= 1$")],
+        ids=["no-beta-star", "grid-0", "decreasing-n", "two-beta-stars", "non-integer-n",
+             "non-numeric-fixed-h", "adaptive-grid-0"],
+    )
+    def test_refused_before_any_cell(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
 
 class TestConfigParsing:
     GOOD = """
@@ -451,6 +484,13 @@ class TestConfigParsing:
         assert spec.error == ErrorSpec("exponential_unit")
         assert spec.bandwidth == BandwidthRule("simulation")
         assert spec.evaluation == "center"
+        # a key the config leaves out keeps its dataclass field's default
+        assert asdict(spec) == asdict(ExperimentSpec(q=1, n_list=(50,), beta_star_list=(1,),
+                                                     replications=2, master_seed=0))
+        built, default = build_adaptive_config({}, 2), AdaptiveConfig(grid=evaluation_grid(2, 25))
+        for name in ("s", "rho", "threshold_constant", "hill_order"):
+            assert getattr(built, name) == getattr(default, name)
+        assert built.grid.tobytes() == default.grid.tobytes()
 
     @pytest.mark.parametrize(
         "text,match",
@@ -514,6 +554,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing required"):
             build_experiment_spec(parse_config("q = 2"))
 
+    @pytest.mark.parametrize("value", ["gridiron", "grids:4", "grid", "centre", "grid 4"])
+    def test_evaluation_is_exactly_center_or_grid_n(self, value):
+        with pytest.raises(ConfigError,
+                           match=f"^evaluation: expected 'center' or 'grid:<N>', got '{value}'$"):
+            build_experiment_spec({**REQUIRED, "evaluation": value})
+
+    def test_readme_table_names_every_config_key(self):
+        """The first column of the README's config-key table names exactly the
+        keys parse_config accepts, so a key and its doc row come together."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = readme.split("### Experiment config format", 1)[1].splitlines()
+        rows = dropwhile(lambda line: not line.startswith("|"), lines)
+        table = list(takewhile(lambda line: line.startswith("|"), rows))
+        # past the header and the separator row, the first cell names the key(s)
+        documented = {key for row in table[2:]
+                      for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        assert documented == harness._CONFIG_KEYS
+        for key in documented:
+            assert parse_config(f"{key} = 1") == {key: "1"}
+
     def test_adaptive_config(self):
         cfg = build_adaptive_config(
             {"adaptive_s": "0.4", "adaptive_rho": "1.5", "adaptive_grid": "5"}, q=1
@@ -524,6 +584,9 @@ class TestConfigParsing:
 
 
 class TestWorkers:
+    """One rule, an integer >= 1, for every source of the worker count; a
+    refusal names its source before any cell runs."""
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("LOCFRONT_WORKERS", "3")
         assert default_workers() == 3
@@ -532,3 +595,34 @@ class TestWorkers:
             default_workers()
         monkeypatch.delenv("LOCFRONT_WORKERS")
         assert default_workers() >= 1
+
+    @pytest.mark.parametrize("raw", [3, "3", np.int64(3)], ids=["int", "text", "numpy-int"])
+    def test_accepted_counts(self, raw):
+        assert worker_count(raw, "workers") == 3
+
+    @pytest.mark.parametrize("value", ["0", "-5", "2.5"])
+    def test_env_refusal_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("LOCFRONT_WORKERS", value)
+        with pytest.raises(ConfigError,
+                           match=f"^LOCFRONT_WORKERS must be an integer >= 1, got '{value}'$"):
+            default_workers()
+
+    @pytest.mark.parametrize("workers", [0, -5, 2.5, "two"])
+    @pytest.mark.parametrize("study", ["mse", "rate", "adaptive"])
+    def test_run_argument_refused_before_any_cell(self, monkeypatch, study, workers):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "_make_dataset", no_cell)
+        rate_spec = small_center_spec(q=1, n_list=(50, 100, 200, 400), beta_star_list=(1,),
+                                      bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0))
+        adaptive_spec = small_center_spec(beta_star_list=(1,), bandwidth=BandwidthRule("adaptive"))
+        run = {
+            "mse": lambda: run_mse(small_center_spec(), workers=workers),
+            "rate": lambda: run_rate_study(rate_spec, workers=workers),
+            "adaptive": lambda: run_adaptive(adaptive_spec, AdaptiveConfig(grid=[[0.5, 0.5]]),
+                                             workers=workers),
+        }[study]
+        match = f"^workers must be an integer >= 1, got {re.escape(repr(workers))}$"
+        with pytest.raises(ConfigError, match=match):
+            run()

@@ -128,6 +128,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             LpProblem([1.0], np.empty((0, 1)), np.empty(0))
 
+    @pytest.mark.parametrize(
+        "v,A,y",
+        [([[1.0]], [[1.0]], [0.0]), ([1.0], [1.0], [0.0]), ([1.0], [[1.0]], [[0.0]])],
+        ids=["matrix-objective", "vector-constraints", "matrix-rhs"],
+    )
+    def test_wrong_ranks_rejected(self, v, A, y):
+        with pytest.raises(ValueError, match="^objective and rhs must be vectors, constraints"):
+            LpProblem(v, A, y)
+
     def test_nonfinite_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             for v, A, y in (([bad], [[1.0]], [0.0]), ([1.0], [[1.0], [bad]], [0.0, 0.0]),
@@ -482,6 +491,43 @@ class TestStartBasis:
                     assert warm.dual.tobytes() == cold.dual.tobytes()
             checked += 1
         assert checked == 194
+
+    def test_redundant_row_under_a_start_falls_back_to_the_cold_start(self, monkeypatch):
+        """Columns 1 and 2 of A are equal and so are v[1] and v[2], so one
+        dual equality row is redundant. No start of real rows can reach
+        phase 1's clean-up then (its B is singular), so the start tableau is
+        patched to be the cold one on the artificial basis: phase 1 then drops
+        the row under a start, and goes back to the cold start."""
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1.0, 1.0, 12)
+        prob = LpProblem([2.0, 0.0, 0.0], np.column_stack([np.ones(12), x, x]),
+                         1.0 - x * x - rng.uniform(0.0, 0.5, 12))
+        cold = solve(prob)
+        assert isinstance(cold, Optimal)
+
+        def cold_tableau(A, d, v, start, T):
+            m, p = A.shape
+            sign = np.where(v < 0.0, -1.0, 1.0)
+            T[:p, :m] = A.T / (sign * d)[:, None]
+            T[:p, m] = sign * v
+            T[p] = -T[:p].sum(axis=0)
+            return list(range(m, m + p))
+
+        starts = []
+        phase1 = lp._phase1
+
+        def recording(A, d, v, max_iter, start=None):
+            starts.append(start)
+            return phase1(A, d, v, max_iter, start)
+
+        monkeypatch.setattr(lp, "_start_tableau", cold_tableau)
+        monkeypatch.setattr(lp, "_phase1", recording)
+        warm = solve(prob, start=[0, 1, 2])
+        assert starts == [[0, 1, 2], None]  # one recursion, to the cold start
+        assert isinstance(warm, Optimal)
+        for field in ("solution", "dual", "active"):
+            assert getattr(warm, field).tobytes() == getattr(cold, field).tobytes()
+        assert warm.objective_value == cold.objective_value
 
     def test_start_of_the_wrong_length_is_refused(self):
         prob = LpProblem([0.2, 0.0], [[1.0, -0.1], [1.0, 0.1]], [1.0, 2.0])

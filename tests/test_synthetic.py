@@ -85,6 +85,20 @@ class TestSampleErrors:
             ErrorSpec("gauss")
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [(lambda: DesignSpec("sobol", q=2, n=10), "^design kind must be one of"),
+     (lambda: DesignSpec("random_uniform", q=0, n=10), "^need q >= 1 and n >= 1$"),
+     (lambda: DesignSpec("random_uniform", q=2, n=0), "^need q >= 1 and n >= 1$"),
+     (lambda: sample_errors(ErrorSpec("exponential_unit"), 0, np.random.default_rng(0)),
+      "^need n >= 1$")],
+    ids=["unknown-design", "design-q-0", "design-n-0", "errors-n-0"],
+)
+def test_bad_sizes_and_kinds_refused(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestBoundary:
     def test_sine_sum_center(self):
         assert eval_boundary(ModelSpec("sine_sum"), (0.5, 0.5)) == pytest.approx(4.0, abs=1e-12)
