@@ -69,6 +69,6 @@ from .synthetic import (
     make_sample,
     sample_errors,
 )
-from .windows import Window, clip_window, objective_vector
+from .windows import clip_window, objective_vector
 
 __version__ = "0.1.0"

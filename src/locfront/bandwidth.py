@@ -153,7 +153,7 @@ def select_bandwidth_index(
     for k in range(top + 1):
         for l in range(k + 1):
             if np.max(np.abs(g[k + 1] - g[l])) > zeta[l] + zeta[k + 1]:
-                return min(k, top), (k, l)
+                return k, (k, l)
     return top, None
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lp
 from .basis import PolyCoeffs, _as_points, enumerate_basis, vandermonde
-from .windows import WindowIndex, clip_window, objective_vector, window_maxima, window_rows
+from .windows import WindowIndex, check_centers, objective_vector, window_maxima, window_rows
 
 
 class EmptyWindowError(ValueError):
@@ -132,9 +132,12 @@ class FitResult:
     ``status`` is "exact" for an untouched fit, "degraded" when the degree was
     lowered to restore boundedness, "expanded" when the window had to grow to
     find data. If both fallbacks fire, "degraded" wins; the bandwidth actually
-    used is always in ``effective_bandwidth``. ``active_rows`` holds the
-    ascending dataset row numbers of the LP's optimal basis, the responses
-    the polynomial touches; they can start a fit at a nearby window.
+    used is always in ``effective_bandwidth``. ``n_active`` is the number of
+    data rows in that window, the LP's constraint count and the ``n_active``
+    column of ``locfront fit``'s output, not ``len(active_rows)``.
+    ``active_rows`` holds the ascending dataset row numbers of the LP's
+    optimal basis, the responses the polynomial touches; they can start a
+    fit at a nearby window.
     """
 
     value: float
@@ -191,12 +194,12 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
     xv = np.asarray(x, dtype=float)
     if xv.shape != (data.q,):
         raise ValueError(f"point of shape {xv.shape}; expected ({data.q},)")
+    check_centers(xv, cfg.h)
 
     h_eff = float(cfg.h)
     # h >= 1 covers the whole cube, so this terminates for nonempty data
     while True:
-        window = clip_window(xv, h_eff)
-        rows = window_rows(window, data.index)
+        rows = window_rows(data.index, xv, h_eff)
         if rows.size:
             break
         if cfg.empty_window == "error":
@@ -209,7 +212,7 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
 
     full_basis = enumerate_basis(data.q, cfg.beta_star)
     A_full = vandermonde(full_basis, pts, xv)
-    v_full = objective_vector(window, full_basis)
+    v_full = objective_vector(xv, h_eff, full_basis)
     shift = float(y.max())
     y_shifted = y - shift
 

@@ -1,8 +1,9 @@
 """Max-norm windows on the unit cube and exact monomial integrals over them.
 
 A window is the max-norm ball of radius h around a point x, intersected with
-[0,1]^q. The integral of any shifted monomial over that box factorizes per
-axis, which gives the LP objective vector in closed form.
+[0,1]^q, and every function here takes it as x (or a batch of centres) and
+h. The integral of any shifted monomial over that box factorizes per axis,
+which gives the LP objective vector in closed form.
 
 This module owns every window query and the index layout behind it, so
 the estimator asks for rows or maxima and never reads the layout.
@@ -28,20 +29,6 @@ import numpy as np
 from .basis import BasisSpec
 
 
-@dataclass(frozen=True)
-class Window:
-    """Axis-aligned box around ``center`` clipped to the unit cube."""
-
-    center: np.ndarray
-    bandwidth: float
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @property
-    def q(self) -> int:
-        return self.center.shape[0]
-
-
 def check_centers(centers: np.ndarray, h: float) -> None:
     """Raise ValueError unless h > 0 and each centre (row) is in [0,1]^q; NaN fails."""
     if not h > 0:
@@ -52,25 +39,19 @@ def check_centers(centers: np.ndarray, h: float) -> None:
         raise ValueError(f"window center {rows[outside.argmax()].tolist()} outside the unit cube")
 
 
-def clip_window(x, h: float) -> Window:
-    """Window of half-edge h around the point x, clipped to [0,1]^q.
+def clip_window(x, h: float) -> tuple[list[float], list[float]]:
+    """Lower and upper corners of the window (x, h), as lists of q floats.
 
     Raises ValueError unless x lies in the unit cube and h > 0, so NaN fails
-    both. A bandwidth h >= 1 yields the whole cube. The window holds
-    read-only copies of its arrays; the caller's x is left as it was. The
-    bounds are Python floats, the IEEE operations of ``np.maximum(x - h, 0)``
-    and ``np.minimum(x + h, 1)`` without numpy's per-call cost.
+    both. A bandwidth h >= 1 yields the whole cube. The corners are the IEEE
+    operations of ``np.maximum(x - h, 0)`` and ``np.minimum(x + h, 1)``
+    without numpy's per-call cost.
     """
-    xv = np.array(x, dtype=float, ndmin=1)
-    center = xv.tolist()
+    center = np.array(x, dtype=float, ndmin=1).tolist()
     if not (h > 0 and all(0.0 <= c <= 1.0 for c in center)):
-        check_centers(xv, h)  # raises, naming the bandwidth or the centre
+        check_centers(np.array(center), h)  # raises, naming the bandwidth or the centre
     h = float(h)
-    lower = np.array([max(c - h, 0.0) for c in center])
-    upper = np.array([min(c + h, 1.0) for c in center])
-    for array in (xv, lower, upper):
-        array.setflags(write=False)
-    return Window(center=xv, bandwidth=h, lower=lower, upper=upper)
+    return [max(c - h, 0.0) for c in center], [min(c + h, 1.0) for c in center]
 
 
 def within(points: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
@@ -88,12 +69,13 @@ def within(points: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
     return inside
 
 
-def contains_mask(w: Window, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership test for an (n, q) array of cube points."""
+def contains_mask(points: np.ndarray, x, h: float) -> np.ndarray:
+    """Vectorized membership test of (n, q) cube points in the window (x, h)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != w.q:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {w.q}")
-    return within(pts, w.center, w.bandwidth)
+    center = np.atleast_1d(np.asarray(x, dtype=float))
+    if pts.shape[1] != center.shape[0]:
+        raise ValueError(f"points have dimension {pts.shape[1]}, expected {center.shape[0]}")
+    return within(pts, center, h)
 
 
 _SLAB_PAD = 4.0 * np.finfo(float).eps  # slab widening per unit of |c0| + h
@@ -141,15 +123,15 @@ class WindowIndex:
         return keys.searchsorted(c0 - h - pad, "left"), keys.searchsorted(c0 + h + pad, "right")
 
 
-def window_rows(w: Window, index: WindowIndex) -> np.ndarray:
-    """Ascending row numbers of the indexed points inside ``w``.
+def window_rows(index: WindowIndex, x, h: float) -> np.ndarray:
+    """Ascending row numbers of the indexed points inside the window (x, h).
 
-    Equal to ``np.flatnonzero(contains_mask(w, index.points))``: the slab
+    Equal to ``np.flatnonzero(contains_mask(index.points, x, h))``: the slab
     holds every member, and ``contains_mask`` on it decides membership by the
     same float expression as a full scan.
     """
-    lo, hi = index.slab(float(w.center[0]), w.bandwidth)
-    inside = contains_mask(w, index.coords[:, lo:hi].T)
+    lo, hi = index.slab(float(x[0]), h)
+    inside = contains_mask(index.coords[:, lo:hi].T, x, h)
     return np.sort(index.order[lo:hi][inside])
 
 
@@ -181,20 +163,20 @@ def window_maxima(index: WindowIndex, values: np.ndarray, centers: np.ndarray, h
     return maxima
 
 
-def _axis_integrals(w: Window, max_degree: int) -> list[list[float]]:
+def _axis_integrals(center: list[float], h: float, max_degree: int) -> list[list[float]]:
     """Per-axis antiderivative differences, q lists of max_degree + 1 floats.
 
-    Entry [r][d] is the integral of (t - x_r)**d over [lower_r, upper_r],
-    (hi**(d+1) - lo**(d+1)) / (d+1) for the offsets hi >= 0 >= lo of the
-    axis ends from x_r. The powers are running products in Python floats
-    (IEEE doubles). The power of lo is that of its magnitude with the sign
-    set by parity, and offsets on unclipped axes are exactly +-h, so
-    odd-degree entries of a symmetric window cancel to exactly 0.0.
+    Entry [r][d] is the integral of (t - x_r)**d over [lower_r, upper_r] of
+    ``clip_window``, (hi**(d+1) - lo**(d+1)) / (d+1) for the offsets hi >= 0
+    >= lo of the axis ends from x_r. The powers are running products in
+    Python floats (IEEE doubles). The power of lo is that of its magnitude
+    with the sign set by parity, and offsets on unclipped axes are exactly
+    +-h, so odd-degree entries of a symmetric window cancel to exactly 0.0.
     """
     table = []
-    for c, lower, upper in zip(w.center.tolist(), w.lower.tolist(), w.upper.tolist()):
-        hi = w.bandwidth if upper < 1.0 else 1.0 - c
-        lo = w.bandwidth if lower > 0.0 else c  # magnitude of the lower offset
+    for c, lower, upper in zip(center, *clip_window(center, h)):
+        hi = h if upper < 1.0 else 1.0 - c
+        lo = h if lower > 0.0 else c  # magnitude of the lower offset
         hi_pow = lo_pow = 1.0
         row = []
         for d1 in range(1, max_degree + 2):
@@ -205,14 +187,15 @@ def _axis_integrals(w: Window, max_degree: int) -> list[list[float]]:
     return table
 
 
-def objective_vector(w: Window, basis: BasisSpec) -> np.ndarray:
-    """Integrals of all basis monomials over the window, in basis order.
+def objective_vector(x, h: float, basis: BasisSpec) -> np.ndarray:
+    """Integrals of all basis monomials over the window (x, h), in basis order.
 
     The window is a box, so the integral of (t - x)**j is the product over
     the axes r of the ``_axis_integrals`` entry [r][j_r], taken in axis
     order. Entry 0 is the window volume and is strictly positive.
     """
-    if basis.q != w.q:
-        raise ValueError(f"basis has dimension {basis.q}, expected {w.q}")
-    table = _axis_integrals(w, basis.max_degree)
+    center = np.array(x, dtype=float, ndmin=1).tolist()
+    if basis.q != len(center):
+        raise ValueError(f"basis has dimension {basis.q}, expected {len(center)}")
+    table = _axis_integrals(center, float(h), basis.max_degree)
     return np.array([prod(map(list.__getitem__, table, j)) for j in basis.indices])

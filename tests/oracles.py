@@ -47,23 +47,23 @@ def exact_monomial_row(basis, t, x) -> list[Fraction]:
             for j in basis.indices]
 
 
-def exact_window_integral(w, exponents) -> tuple[Fraction, Fraction]:
+def exact_window_integral(lower, upper, center, h, exponents) -> tuple[Fraction, Fraction]:
     """Exact integrals of prod_r (t_r - x_r)**j_r and of its absolute value
-    over the window.
+    over the window of half-edge h around ``center``.
 
     Per axis the box runs from x_r - h to x_r + h, clipped to 0 where the
     window's lower end is 0 and to 1 where its upper end is 1 (the ends
-    ``clip_window`` chose), with every end exact. Over offsets [lo, hi] with
-    lo <= 0 <= hi, the antiderivative gives (hi**(e+1) - lo**(e+1)) / (e+1)
-    and (hi**(e+1) + |lo|**(e+1)) / (e+1) for the absolute value.
+    ``lower`` and ``upper`` that ``clip_window`` chose), with every end
+    exact. Over offsets [lo, hi] with lo <= 0 <= hi, the antiderivative
+    gives (hi**(e+1) - lo**(e+1)) / (e+1) and (hi**(e+1) + |lo|**(e+1)) /
+    (e+1) for the absolute value.
     """
-    h = Fraction(w.bandwidth)
+    h = Fraction(h)
     value = magnitude = Fraction(1)
-    for x, lower, upper, e in zip(w.center.tolist(), w.lower.tolist(),
-                                  w.upper.tolist(), exponents):
+    for a, b, x, e in zip(lower, upper, center, exponents):
         x = Fraction(x)
-        lo = -x if lower == 0.0 else -h
-        hi = 1 - x if upper == 1.0 else h
+        lo = -x if a == 0.0 else -h
+        hi = 1 - x if b == 1.0 else h
         value *= (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
         magnitude *= (hi ** (e + 1) + abs(lo) ** (e + 1)) / (e + 1)
     return value, magnitude

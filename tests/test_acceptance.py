@@ -167,8 +167,7 @@ def _random_lp(rng):
     q = int(rng.integers(1, 4))
     max_deg = {1: 5, 2: 2, 3: 1}[q]
     basis = enumerate_basis(q, int(rng.integers(0, max_deg + 1)))
-    w = clip_window(rng.uniform(0, 1, q), rng.uniform(0.05, 0.8))
-    v = objective_vector(w, basis)
+    v = objective_vector(rng.uniform(0, 1, q), rng.uniform(0.05, 0.8), basis)
     p = len(basis)
     m = int(rng.integers(p, 11))
     A = rng.uniform(-1, 1, (m, p))
@@ -243,8 +242,7 @@ def test_criterion_06_estimator_invariant_suite():
     for i in range(500):
         data, x, cfg = _random_fit_case(rng)
         res = fit_at(data, x, cfg)
-        w = clip_window(x, res.effective_bandwidth)
-        mask = contains_mask(w, data.points)
+        mask = contains_mask(data.points, x, res.effective_bandwidth)
         fitted = np.atleast_1d(eval_poly(res.coeffs, data.points[mask], x))
         if not np.all(fitted >= data.responses[mask] - 1e-7):
             failures.append(f"above-data violated at case {i}")
@@ -271,8 +269,7 @@ def test_criterion_06_estimator_invariant_suite():
         res = fit_at(data, x, cfg)
         if res.status != "exact":
             continue
-        w = clip_window(x, cfg.h)
-        v = objective_vector(w, res.coeffs.basis)
+        v = objective_vector(x, cfg.h, res.coeffs.basis)
         before = float(v @ res.coeffs.coeffs)
         extra = np.clip(x + rng.uniform(-cfg.h, cfg.h, x.shape[0]), 0, 1)
         grown = Dataset(
@@ -281,7 +278,7 @@ def test_criterion_06_estimator_invariant_suite():
         )
         res2 = fit_at(grown, x, cfg)
         after = float(
-            objective_vector(w, res2.coeffs.basis) @ res2.coeffs.coeffs
+            objective_vector(x, cfg.h, res2.coeffs.basis) @ res2.coeffs.coeffs
         )
         if after < before - 1e-7:
             failures.append(f"objective decreased after adding a constraint at case {i}")
@@ -302,10 +299,11 @@ def test_criterion_07_window_integral_oracle():
     for _ in range(500):
         q = int(rng.integers(1, 4))
         basis = enumerate_basis(q, int(rng.integers(0, 4)))
-        w = clip_window(rng.uniform(0, 1, q), rng.uniform(0.02, 1.2))
-        v = objective_vector(w, basis)
+        x, h = rng.uniform(0, 1, q), rng.uniform(0.02, 1.2)
+        lower, upper = clip_window(x, h)
+        v = objective_vector(x, h, basis)
         for entry, j in zip(v, basis.indices):
-            oracle = quad_monomial_integral(w.lower, w.upper, w.center, j)
+            oracle = quad_monomial_integral(lower, upper, x, j)
             worst = max(worst, abs(entry - oracle))
     report(
         7,

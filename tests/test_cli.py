@@ -354,7 +354,7 @@ class TestRateStudyCommand:
 
     @pytest.mark.parametrize(
         "rate_grid,error,match",
-        [("0", "ValueError", "eval_grid_size"), ("x", "ConfigError", "rate_grid")],
+        [("0", "ConfigError", "rate_grid"), ("x", "ConfigError", "rate_grid")],
     )
     def test_bad_rate_grid_exits_2(self, tmp_path, capsys, rate_grid, error, match):
         cfg_path = tmp_path / "rate.cfg"
@@ -367,6 +367,30 @@ class TestRateStudyCommand:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == error
         assert match in record["message"]
+
+    @pytest.mark.parametrize(
+        "config_line,eval_grid,source",
+        [("", "0", "--eval-grid"), ("", "-3", "--eval-grid"), ("rate_grid = 0", "5", "rate_grid")],
+        ids=["flag-0", "flag-negative", "config-over-flag"],
+    )
+    def test_grid_size_below_1_names_its_source(self, tmp_path, capsys, monkeypatch,
+                                                config_line, eval_grid, source):
+        # refused by the command before any cell, naming the flag or the key
+        # that set the size; rate_grid overrides --eval-grid
+        def no_run(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(harness, "run_rate_study", no_run)
+        cfg_path = tmp_path / "rate.cfg"
+        cfg_path.write_text(RATE_CONFIG.replace("rate_grid = 7", config_line))
+        out_json = tmp_path / "rate.json"
+        code = main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
+                     "--workers", "1", "--eval-grid", eval_grid])
+        assert code == 2
+        assert not out_json.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{source}: ")
 
     def test_zero_median_exits_2_without_a_file(self, tmp_path, capsys, monkeypatch):
         # noiseless cubic data fitted at degree 3 gives medians of 0 or of

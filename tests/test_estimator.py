@@ -20,7 +20,7 @@ from locfront.estimator import (
     load_dataset,
     save_dataset,
 )
-from locfront.windows import clip_window, contains_mask, objective_vector, window_rows
+from locfront.windows import contains_mask, objective_vector, window_rows
 
 
 def sine_dataset(rng, n, q=1):
@@ -134,7 +134,7 @@ class TestFitLocalConstant:
         lo, hi = ds.index.slab(centers[:, 0], h)
         assert centers.shape[0] * int((hi - lo).max()) > 4 * windows._BLOCK_CELLS
         expected = [
-            ds.responses[contains_mask(clip_window(c, h), ds.points)].max() for c in centers
+            ds.responses[contains_mask(ds.points, c, h)].max() for c in centers
         ]
         assert fit_local_constant(ds, centers, h).tolist() == expected
 
@@ -191,8 +191,7 @@ class TestInvariants:
             )
             x = rng.uniform(0, 1, q)
             res = fit_at(ds, x, cfg)
-            w = clip_window(x, res.effective_bandwidth)
-            mask = contains_mask(w, ds.points)
+            mask = contains_mask(ds.points, x, res.effective_bandwidth)
             fitted = eval_poly(res.coeffs, ds.points[mask], x)
             assert np.all(fitted >= ds.responses[mask] - 1e-7)
 
@@ -229,7 +228,7 @@ class TestInvariants:
             res = fit_at(ds, x, cfg)
             if res.status != "exact":
                 continue
-            v = objective_vector(clip_window(x, cfg.h), res.coeffs.basis)
+            v = objective_vector(x, cfg.h, res.coeffs.basis)
             before = float(v @ res.coeffs.coeffs)
             extra_pt = x + rng.uniform(-cfg.h, cfg.h, 1)
             extra_pt = np.clip(extra_pt, 0, 1)
@@ -239,7 +238,7 @@ class TestInvariants:
                 np.append(ds.responses, extra_y),
             )
             res2 = fit_at(grown, x, cfg)
-            v2 = objective_vector(clip_window(x, cfg.h), res2.coeffs.basis)
+            v2 = objective_vector(x, cfg.h, res2.coeffs.basis)
             after = float(v2 @ res2.coeffs.coeffs)
             assert after >= before - 1e-7
 
@@ -252,8 +251,7 @@ class TestInvariants:
             cfg = EstimatorConfig(beta_star=2, h=h, empty_window="expand")
             res = fit_at(ds, x, cfg)
             lc = fit_local_constant(ds, x, res.effective_bandwidth)
-            w = clip_window(x, res.effective_bandwidth)
-            mask = contains_mask(w, ds.points)
+            mask = contains_mask(ds.points, x, res.effective_bandwidth)
             fitted_max = float(np.max(eval_poly(res.coeffs, ds.points[mask], x)))
             assert lc <= fitted_max + 1e-7
 
@@ -326,7 +324,7 @@ class TestStartRows:
             rows = fit.active_rows
             assert rows.tolist() == sorted(set(rows.tolist()))
             assert rows.size == len(fit.coeffs.coeffs)
-            assert set(rows.tolist()) <= set(window_rows(clip_window(x, 0.1), ds.index).tolist())
+            assert set(rows.tolist()) <= set(window_rows(ds.index, x, 0.1).tolist())
             npt.assert_allclose(eval_poly(fit.coeffs, ds.points[rows], x),
                                 ds.responses[rows], rtol=0, atol=1e-9)
 
@@ -366,14 +364,14 @@ def full_mask_fit(ds, x, cfg):
     """fit_at's recipe with the window rows taken from a full-array mask:
     (value, n_active, effective_bandwidth, effective_degree)."""
     h = cfg.h
-    mask = contains_mask(clip_window(x, h), ds.points)
+    mask = contains_mask(ds.points, x, h)
     while not mask.any():
         h *= 1.5
-        mask = contains_mask(clip_window(x, h), ds.points)
+        mask = contains_mask(ds.points, x, h)
     pts, y = ds.points[mask], ds.responses[mask]
     full_basis = enumerate_basis(ds.q, cfg.beta_star)
     A = vandermonde(full_basis, pts, x)
-    v = objective_vector(clip_window(x, h), full_basis)
+    v = objective_vector(x, h, full_basis)
     shift = float(y.max())
     for degree in range(cfg.beta_star, -1, -1):
         p = len(enumerate_basis(ds.q, degree))
@@ -393,12 +391,12 @@ class TestWindowIndex:
         assert index.coords.flags.c_contiguous
         assert np.all(np.diff(index.coords[0]) >= 0)
         npt.assert_array_equal(index.coords.T, ds.points[index.order])
-        windows = [clip_window(c, 0.07) for c in rng.uniform(0, 1, (20, 3))]
-        expected = [window_rows(w, index) for w in windows]
+        centers = rng.uniform(0, 1, (20, 3))
+        expected = [window_rows(index, c, 0.07) for c in centers]
         for rebuilt in (pickle.loads(pickle.dumps(ds)), copy.copy(ds)):
             assert rebuilt.index is not index
-            for w, rows in zip(windows, expected):
-                npt.assert_array_equal(window_rows(w, rebuilt.index), rows)
+            for c, rows in zip(centers, expected):
+                npt.assert_array_equal(window_rows(rebuilt.index, c, 0.07), rows)
 
     def test_fit_grid_matches_full_mask_lps(self):
         rng = np.random.default_rng(46)

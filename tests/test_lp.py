@@ -33,8 +33,7 @@ def random_instance(rng, p=None, m=None):
         max_deg = {1: 5, 2: 2, 3: 1}[q]
         deg = int(rng.integers(0, max_deg + 1))
         basis = enumerate_basis(q, deg)
-        w = clip_window(rng.uniform(0, 1, q), rng.uniform(0.05, 0.8))
-        v = objective_vector(w, basis)
+        v = objective_vector(rng.uniform(0, 1, q), rng.uniform(0.05, 0.8), basis)
         p = len(basis)
     else:
         v = rng.uniform(-1, 1, p)
@@ -234,12 +233,12 @@ def windowed_lp(rng, q, degree, h):
     """Fit LP of a random window, built as the estimator builds it."""
     basis = enumerate_basis(q, degree)
     x = rng.uniform(0, 1, q)
-    w = clip_window(x, h)
+    lower, upper = np.array(clip_window(x, h))
     m = int(rng.integers(len(basis), 6 * len(basis) + 20))
-    pts = w.lower + (w.upper - w.lower) * rng.uniform(0, 1, (m, q))
+    pts = lower + (upper - lower) * rng.uniform(0, 1, (m, q))
     s = pts.sum(axis=1)
     y = 0.5 * np.sin(2 * np.pi * s) + 4 * s - rng.exponential(1.0, m)
-    return LpProblem(objective_vector(w, basis), vandermonde(basis, pts, x), y - y.max())
+    return LpProblem(objective_vector(x, h, basis), vandermonde(basis, pts, x), y - y.max())
 
 
 def stress_lp(seed, m=40, h=0.01, degree=6, x=0.5):

@@ -9,6 +9,7 @@ fails here.
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +36,37 @@ def test_every_patched_name_is_a_module_function(module, attr, span):
     assert inspect.isfunction(getattr(importlib.import_module(module), attr))
 
 
+MASK_LIMIT = 10
+
+
 @pytest.fixture
 def mask_calls(monkeypatch):
-    """Bandwidth of each window ``contains_mask`` is called for."""
+    """Bandwidth of each window ``contains_mask`` is called for; a fit that
+    queries more than ``MASK_LIMIT`` windows fails instead of looping on."""
     calls = []
     contains_mask = windows.contains_mask
 
-    def counting(w, points):
-        calls.append(w.bandwidth)
-        return contains_mask(w, points)
+    def counting(points, x, h):
+        calls.append(h)
+        if len(calls) > MASK_LIMIT:
+            raise AssertionError(f"{len(calls)} window queries in one test")
+        return contains_mask(points, x, h)
 
     monkeypatch.setattr(windows, "contains_mask", counting)
+    return calls
+
+
+@pytest.fixture
+def clip_calls(monkeypatch):
+    """Bandwidth of each ``clip_window`` call."""
+    calls = []
+    clip_window = windows.clip_window
+
+    def counting(x, h):
+        calls.append(h)
+        return clip_window(x, h)
+
+    monkeypatch.setattr(windows, "clip_window", counting)
     return calls
 
 
@@ -53,12 +74,13 @@ class TestOneMaskPerWindow:
     DATA = Dataset(np.array([[0.5, 0.5], [0.9, 0.9]]), np.array([1.0, 2.0]))
     CFG = EstimatorConfig(beta_star=0, h=0.1, empty_window="expand")
 
-    def test_window_with_data(self, mask_calls):
+    def test_window_with_data(self, mask_calls, clip_calls):
         fit = fit_at(self.DATA, np.array([0.5, 0.5]), self.CFG)
         assert fit.status == "exact"
         assert mask_calls == [0.1]
+        assert clip_calls == [0.1]
 
-    def test_expanded_window(self, mask_calls):
+    def test_expanded_window(self, mask_calls, clip_calls):
         # the nearest point is 0.4 away in max-norm, so the window grows
         # 0.1 -> 0.15 -> 0.225 -> 0.3375 -> 0.50625: k = 4 expansions
         fit = fit_at(self.DATA, np.array([0.1, 0.1]), self.CFG)
@@ -69,6 +91,18 @@ class TestOneMaskPerWindow:
         assert len(expected) == 5
         assert mask_calls == expected
         assert fit.effective_bandwidth == expected[-1]
+        # the objective is built once, for the final window
+        assert clip_calls == [expected[-1]]
+
+    @pytest.mark.parametrize("point", [[float("nan"), 0.5], [1.2, 0.5], [-0.1, 0.5]],
+                             ids=["nan", "above-1", "below-0"])
+    def test_point_outside_the_cube_refused_before_any_window_query(self, mask_calls, point):
+        # a NaN centre finds no data at any bandwidth, so an expanding fit
+        # that checked it only after its window loop would never end
+        message = rf"window center {re.escape(str(point))} outside the unit cube"
+        with pytest.raises(ValueError, match=message):
+            fit_at(self.DATA, np.array(point), self.CFG)
+        assert mask_calls == []
 
 
 @pytest.fixture

@@ -59,7 +59,7 @@ def make_case(q, degree, h, n, seed):
 def test_fit_lies_above_every_windowed_response(case):
     data, x, cfg = make_case(*case)
     res = fit_at(data, x, cfg)
-    mask = contains_mask(clip_window(x, res.effective_bandwidth), data.points)
+    mask = contains_mask(data.points, x, res.effective_bandwidth)
     pts, y = data.points[mask], data.responses[mask]
     fitted = np.atleast_1d(eval_poly(res.coeffs, pts, x))
     terms = np.abs(vandermonde(res.coeffs.basis, pts, x)) @ np.abs(res.coeffs.coeffs)
@@ -120,15 +120,15 @@ def make_index_case(q, h, where, n, seed, spread):
     repeated = rng.random(n) < 1 / 3
     pts[repeated, 0] = rng.choice(pts[:, 0], 3)[rng.integers(0, 3, repeated.sum())]
     pts = np.vstack([np.clip(pts, 0.0, 1.0), rng.uniform(0, 1, (spread, q))])
-    return Dataset(pts, np.zeros(n + spread)), clip_window(c, h)
+    return Dataset(pts, np.zeros(n + spread)), c, h
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(index_cases)
 def test_window_rows_equal_a_full_mask(case):
-    data, w = make_index_case(*case)
-    expected = np.flatnonzero(contains_mask(w, data.points))
-    np.testing.assert_array_equal(window_rows(w, data.index), expected)
+    data, c, h = make_index_case(*case)
+    expected = np.flatnonzero(contains_mask(data.points, c, h))
+    np.testing.assert_array_equal(window_rows(data.index, c, h), expected)
 
 
 batch_cases = st.tuples(
@@ -167,7 +167,7 @@ def make_batch_case(q, h, n, m, seed):
 def test_batched_local_constant_equals_per_point_max(case):
     h = case[1]
     data, centers = make_batch_case(*case)
-    masks = [contains_mask(clip_window(c, h), data.points) for c in centers]
+    masks = [contains_mask(data.points, c, h) for c in centers]
     empty = [i for i, mask in enumerate(masks) if not mask.any()]
     if empty:
         with pytest.raises(EmptyWindowError, match=re.escape(str(centers[empty[0]].tolist()))):
@@ -205,18 +205,18 @@ def make_monomial_case(q, degree, h, where, seed):
         c = rng.integers(0, 2, q).astype(float)
     elif where == "face":
         c[rng.integers(0, q)] = rng.integers(0, 2)
-    w = clip_window(c, h)
-    pts = w.lower + (w.upper - w.lower) * rng.uniform(0, 1, (8, q))
-    pts = np.vstack([pts, c, w.lower, w.upper])
+    lower, upper = np.array(clip_window(c, h))
+    pts = lower + (upper - lower) * rng.uniform(0, 1, (8, q))
+    pts = np.vstack([pts, c, lower, upper])
     basis = enumerate_basis(q, degree)
-    return w, pts, PolyCoeffs(basis, rng.uniform(-1, 1, len(basis)))
+    return c, h, pts, PolyCoeffs(basis, rng.uniform(-1, 1, len(basis)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(monomial_cases)
 def test_monomials_match_exact_rationals(case):
-    w, pts, coeffs = make_monomial_case(*case)
-    basis, c = coeffs.basis, w.center
+    c, h, pts, coeffs = make_monomial_case(*case)
+    basis = coeffs.basis
     degrees = np.array([sum(j) for j in basis.indices])
 
     exact_rows = [exact_monomial_row(basis, t, c) for t in pts]
@@ -224,10 +224,11 @@ def test_monomials_match_exact_rationals(case):
     bound = 2 * (degrees + 1) * EPS * np.abs(exact) + TINY
     assert np.all(np.abs(vandermonde(basis, pts, c) - exact) <= bound)
 
-    v = objective_vector(w, basis)
-    unclipped = (w.lower > 0.0) & (w.upper < 1.0)
+    v = objective_vector(c, h, basis)
+    lower, upper = np.array(clip_window(c, h))
+    unclipped = (lower > 0.0) & (upper < 1.0)
     for entry, j, degree in zip(v, basis.indices, degrees):
-        value, magnitude = exact_window_integral(w, j)
+        value, magnitude = exact_window_integral(lower, upper, c, h, j)
         assert abs(entry - float(value)) <= 8 * (degree + 1) * EPS * float(magnitude) + TINY
         if any(e % 2 and free for e, free in zip(j, unclipped)):
             assert entry == 0.0
