@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import Dataset, EstimatorConfig, fit_grid, fit_local_constant
+from .estimator import Dataset, EstimatorConfig, _whole, fit_grid, fit_local_constant
 
 # every rung's fit policies: no rung fails for want of data or of boundedness
 LADDER_POLICIES = {"fallback": "degrade_degree", "empty_window": "expand"}
@@ -34,7 +34,7 @@ def balanced_bandwidth(n: int, q: int, alpha: float, beta: float) -> float:
     a boundary of smoothness ``beta`` under error tail index ``alpha``.
     """
     if n < 3:
-        raise ValueError("need n >= 3 so that log(n) > 1")
+        raise ValueError(f"need n >= 3 so that log(n) > 1, got n = {n}")
     if not (alpha > 0 and beta > 0):
         raise ValueError(f"alpha and beta must be positive, got {alpha}, {beta}")
     return min(1.0, (math.log(n) / n) ** (1.0 / (alpha * beta + q)))
@@ -50,8 +50,7 @@ def hill_tail_index(residuals, k: int) -> float:
     Raises ValueError with fewer than k+1 strictly negative residuals or when
     ties make every log ratio vanish.
     """
-    if k < 1:
-        raise ValueError("order count k must be >= 1")
+    k = _whole(k, "order count k", 1)
     res = np.asarray(residuals, dtype=float).ravel()
     magnitudes = -res[res < 0.0]
     if magnitudes.size < k + 1:
@@ -73,9 +72,9 @@ class AdaptiveConfig:
     (n_grid, q). The threshold of ladder index k is
     ``threshold_constant * (log n / (n h_k^q))**(1/alpha_hat)`` with alpha_hat
     from ``hill_tail_index`` on local-constant pilot residuals. ``hill_order``
-    (config key ``adaptive_hill_order``) fixes its order count k >= 1; a k
-    with fewer than k + 1 strictly negative pilot residuals fails before any
-    rung is fitted.
+    (config key ``adaptive_hill_order``) fixes its order count k >= 1 by
+    ``_whole``; a k with fewer than k + 1 strictly negative pilot residuals
+    fails before any rung is fitted.
     """
 
     grid: np.ndarray
@@ -94,10 +93,9 @@ class AdaptiveConfig:
             raise ValueError("evaluation grid must be nonempty")
         if not self.threshold_constant > 0:
             raise ValueError("threshold_constant must be positive")
-        if self.hill_order is not None and self.hill_order < 1:
-            raise ValueError(
-                f"hill_order (adaptive_hill_order) must be >= 1, got {self.hill_order}"
-            )
+        if self.hill_order is not None:
+            object.__setattr__(self, "hill_order",
+                               _whole(self.hill_order, "hill_order (adaptive_hill_order)", 1))
         object.__setattr__(self, "grid", grid)
 
 
@@ -158,20 +156,16 @@ def select_bandwidth_index(
 
 
 def _pilot_alpha(data: Dataset, cfg: AdaptiveConfig) -> float:
-    """Hill plug-in on residuals of a local-constant pilot fit."""
+    """Hill plug-in on local-constant pilot residuals; ``hill_tail_index`` refuses a bad order."""
     h_pilot = simulation_bandwidth(data.n, data.q, 0)
     residuals = data.responses - fit_local_constant(data, data.points, h_pilot)
-    n_neg = int((residuals < 0).sum())
     if cfg.hill_order is None:
-        k = max(1, min(int(2 * math.sqrt(data.n)), n_neg - 1))
-    elif cfg.hill_order < n_neg:
-        k = cfg.hill_order
-    else:
-        raise ValueError(
-            f"hill_order (adaptive_hill_order) {cfg.hill_order} needs "
-            f"{cfg.hill_order + 1} strictly negative pilot residuals, have {n_neg}"
-        )
-    return hill_tail_index(residuals, k)
+        n_neg = int((residuals < 0).sum())
+        return hill_tail_index(residuals, max(1, min(int(2 * math.sqrt(data.n)), n_neg - 1)))
+    try:
+        return hill_tail_index(residuals, cfg.hill_order)
+    except ValueError as err:
+        raise ValueError(f"hill_order (adaptive_hill_order) {cfg.hill_order}: {err}") from err
 
 
 def adaptive_bandwidth(

@@ -185,10 +185,12 @@ def _cmd_rate_study(args) -> int:
     cfg = _read_config(args.config)
     spec = harness.build_experiment_spec(cfg)
     grid_size = harness.config_int(cfg, "rate_grid", args.eval_grid)
-    if grid_size is not None and grid_size < 1:
-        source = "rate_grid" if "rate_grid" in cfg else "--eval-grid"
-        raise ConfigError(f"{source}: the rate study needs at least 1 grid point per axis, "
-                          f"got {grid_size}")
+    if grid_size is not None:
+        try:
+            harness.evaluation_grid(1, grid_size)  # checks the size on one axis
+        except ValueError as err:
+            source = "rate_grid" if "rate_grid" in cfg else "--eval-grid"
+            raise ConfigError(f"{source}: {err}") from None
     sizes = {} if grid_size is None else {"eval_grid_size": grid_size}
     result = harness.run_rate_study(spec, workers=args.workers, **sizes)
     harness.write_rate_json(result, args.out_json)

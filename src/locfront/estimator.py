@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +55,15 @@ def _check_policies(fallback: str, empty_window: str) -> None:
                                 ("empty_window", empty_window, _EMPTY_POLICIES)):
         if value not in allowed:
             raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
+
+
+def _whole(value, name: str, least: int) -> int:
+    """``value`` as a Python int, the one rule for every count, degree and seed: an
+    int or numpy integer >= ``least`` passes; ``2.0`` or ``"2"`` raises, naming ``name``."""
+    whole = operator.index(value) if hasattr(value, "__index__") else least - 1
+    if whole < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +120,7 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Degree, bandwidth, and degeneracy policies for a local fit."""
+    """Degree (an integer >= 0 by ``_whole``), bandwidth, and policies of a local fit."""
 
     beta_star: int
     h: float
@@ -118,8 +128,7 @@ class EstimatorConfig:
     empty_window: str = "error"
 
     def __post_init__(self):
-        if self.beta_star < 0:
-            raise ValueError("beta_star must be >= 0")
+        object.__setattr__(self, "beta_star", _whole(self.beta_star, "beta_star", 0))
         if not self.h > 0:
             raise ValueError(f"bandwidth must be positive, got {self.h}")
         _check_policies(self.fallback, self.empty_window)
@@ -131,10 +140,11 @@ class FitResult:
 
     ``status`` is "exact" for an untouched fit, "degraded" when the degree was
     lowered to restore boundedness, "expanded" when the window had to grow to
-    find data. If both fallbacks fire, "degraded" wins; the bandwidth actually
-    used is always in ``effective_bandwidth``. ``n_active`` is the number of
-    data rows in that window, the LP's constraint count and the ``n_active``
-    column of ``locfront fit``'s output, not ``len(active_rows)``.
+    find data. If both fallbacks fire, "degraded" wins, so a status tally's
+    ``n_expanded`` counts only expansions without a degradation; the bandwidth
+    actually used is always in ``effective_bandwidth``. ``n_active`` is the
+    number of data rows in that window, the LP's constraint count and the
+    ``n_active`` column of ``locfront fit``'s output, not ``len(active_rows)``.
     ``active_rows`` holds the ascending dataset row numbers of the LP's
     optimal basis, the responses the polynomial touches; they can start a
     fit at a nearby window.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -34,17 +33,15 @@ from .bandwidth import (
     balanced_bandwidth,
     simulation_bandwidth,
 )
-from .estimator import Dataset, EstimatorConfig, _check_policies, fit_grid
+from .estimator import Dataset, EstimatorConfig, _check_policies, _whole, fit_grid
 from .estimator import fit_at  # not called here; the benchmark's tracing tests read it
 from .synthetic import (
-    _DESIGN_KINDS,
     DesignSpec,
     ErrorSpec,
     ModelSpec,
     eval_boundary,
     gen_design,
     lattice,
-    lattice_side,
     make_sample,
     sample_errors,
 )
@@ -90,7 +87,9 @@ def resolve_bandwidth(rule: BandwidthRule, n: int, q: int, beta_star: int) -> fl
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative Monte Carlo experiment over a (beta_star, n) grid."""
+    """Declarative Monte Carlo experiment over a (beta_star, n) grid; each field is
+    checked before any cell runs by the owner of its rule: ``_whole`` (so ``2.0``
+    is refused, not truncated), ``DesignSpec`` and ``resolve_bandwidth``."""
 
     q: int
     n_list: tuple[int, ...]
@@ -107,36 +106,32 @@ class ExperimentSpec:
     empty_window: str = "expand"
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        object.__setattr__(
-            self, "beta_star_list", tuple(int(b) for b in self.beta_star_list)
-        )
-        if not self.n_list:
-            raise ValueError("n_list must be nonempty")
-        if not self.beta_star_list:
-            raise ValueError("beta_star_list must be nonempty")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
-        for name, values, least in (("n_list (n)", self.n_list, 1),
-                                    ("beta_star_list (beta_star)", self.beta_star_list, 0)):
-            if min(values) < least:
-                raise ValueError(f"{name} entries must be >= {least}, got {min(values)}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be a nonnegative integer")
+        q = _whole(self.q, "q", 1)
+        for name, value in (
+            ("q", q),
+            ("n_list", tuple(DesignSpec(self.design, q, n).n for n in self.n_list)),
+            ("beta_star_list", tuple(_whole(b, "beta_star_list (beta_star)", 0)
+                                     for b in self.beta_star_list)),
+            ("replications", _whole(self.replications, "replications", 1)),
+            ("master_seed", _whole(self.master_seed, "master_seed (seed)", 0)),
+        ):
+            object.__setattr__(self, name, value)
+        for name in ("n_list", "beta_star_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
+        try:
+            for beta_star in () if self.bandwidth.kind == "adaptive" else self.beta_star_list:
+                for n in self.n_list:
+                    resolve_bandwidth(self.bandwidth, n, self.q, beta_star)
+        except ValueError as err:
+            raise ValueError(f"bandwidth: {err}") from err
         if self.evaluation not in ("center", "grid"):
             raise ValueError("evaluation must be 'center' or 'grid'")
-        if self.evaluation == "grid" and self.grid_points_per_axis < 1:
-            raise ValueError("evaluation: grid needs at least 1 point per axis, "
-                             f"got {self.grid_points_per_axis}")
-        if self.design not in _DESIGN_KINDS:
-            raise ValueError(f"design must be one of {_DESIGN_KINDS}, got {self.design!r}")
-        off_lattice = [n for n in self.n_list
-                       if self.design == "equidistant_grid" and lattice_side(n, self.q) is None]
-        if off_lattice:
-            raise ValueError(f"n_list (n) entries must be perfect q-th powers (q = {self.q}) "
-                             f"for design = equidistant_grid, got {off_lattice[0]}")
+        if self.evaluation == "grid":
+            try:  # the size rule is the same on every axis, so one axis checks it
+                evaluation_grid(1, self.grid_points_per_axis)
+            except ValueError as err:
+                raise ValueError(f"evaluation: {err}") from err
         _check_policies(self.fallback, self.empty_window)
 
 
@@ -167,16 +162,13 @@ class ResultTable:
 
 
 def worker_count(raw, source: str) -> int:
-    """``raw``, an int or its decimal text, as a worker count: an integer >= 1.
-    The one rule for ``--workers``, ``LOCFRONT_WORKERS`` and the ``workers``
-    of the ``run_*`` studies; a refusal raises ConfigError naming ``source``."""
+    """``raw``, an int or its decimal text, as a worker count: an integer >= 1
+    by ``_whole``, for ``--workers``, ``LOCFRONT_WORKERS`` and the ``run_*``
+    studies' ``workers``; a refusal raises ConfigError naming ``source``."""
     try:
-        value = int(raw) if isinstance(raw, str) else operator.index(raw)
-    except (TypeError, ValueError):
-        value = 0  # refused below, with the counts under 1
-    if value < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {raw!r}")
-    return value
+        return _whole(int(raw) if isinstance(raw, str) else raw, source, 1)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer >= 1, got {raw!r}") from None
 
 
 def default_workers() -> int:
@@ -198,12 +190,10 @@ def evaluation_grid(q: int, points_per_axis: int) -> np.ndarray:
 
     A single point per axis collapses to the cube center, so a one-point grid
     evaluation coincides with the center-point evaluation. Fewer than one
-    point per axis raises ValueError.
+    point per axis raises ValueError, the one check of a grid size.
     """
     if points_per_axis < 1:
-        raise ValueError(
-            f"evaluation grid needs at least 1 point per axis, got {points_per_axis}"
-        )
+        raise ValueError(f"grid needs at least 1 point per axis, got {points_per_axis}")
     if points_per_axis == 1:
         return np.full((1, q), 0.5)
     return lattice(np.linspace(0.0, 1.0, points_per_axis), q)
@@ -336,8 +326,6 @@ def run_rate_study(
         raise ValueError("rate study runs one beta_star at a time")
     if sorted(spec.n_list) != list(spec.n_list):
         raise ValueError("n_list must be increasing")
-    if eval_grid_size < 1:
-        raise ValueError("rate study needs eval_grid_size >= 1")
     grid = evaluation_grid(spec.q, eval_grid_size)
     medians = [
         float(np.median([np.max(np.abs(errors)) for errors, _ in results]))
@@ -565,11 +553,10 @@ def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
 
 def build_adaptive_config(cfg: dict[str, str], q: int) -> AdaptiveConfig:
     """AdaptiveConfig from the adaptive_* keys (grid defaults to 25 points per axis)."""
-    grid_n = config_int(cfg, "adaptive_grid", 25)
-    if grid_n < 1:
-        raise ConfigError("adaptive_grid must be >= 1")
+    grid = _read(lambda text: evaluation_grid(q, int(text)), cfg.get("adaptive_grid", "25"),
+                 "adaptive_grid", "an integer grid size of at least 1 point per axis")
     knobs = {name: read(cfg, key) for key, (name, read) in _ADAPTIVE_KNOBS.items() if key in cfg}
     try:
-        return AdaptiveConfig(grid=evaluation_grid(q, grid_n), **knobs)
+        return AdaptiveConfig(grid=grid, **knobs)
     except ValueError as err:
         raise ConfigError(str(err)) from err

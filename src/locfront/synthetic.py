@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import Dataset
+from .estimator import Dataset, _whole
 
 _DESIGN_KINDS = ("random_uniform", "equidistant_grid")
 _ERROR_KINDS = ("exponential_unit", "weibull", "zero")
@@ -28,17 +28,21 @@ def lattice_side(n: int, q: int) -> int | None:
 
 @dataclass(frozen=True)
 class DesignSpec:
+    """n points in [0,1]^q, the one owner of the design rules; a refusal names
+    its config key (``design``, ``q``, ``n_list (n)``), q and the offending n."""
+
     kind: str
     q: int
     n: int
 
     def __post_init__(self):
         if self.kind not in _DESIGN_KINDS:
-            raise ValueError(f"design kind must be one of {_DESIGN_KINDS}")
-        if self.q < 1 or self.n < 1:
-            raise ValueError("need q >= 1 and n >= 1")
+            raise ValueError(f"design must be one of {_DESIGN_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "q", _whole(self.q, "q", 1))
+        object.__setattr__(self, "n", _whole(self.n, "n_list (n)", 1))
         if self.kind == "equidistant_grid" and lattice_side(self.n, self.q) is None:
-            raise ValueError(f"equidistant grid needs n^(1/q) integer; n={self.n}, q={self.q}")
+            raise ValueError(f"n_list (n) entries must be perfect q-th powers (q = {self.q}) "
+                             f"for design = equidistant_grid, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,7 @@ def gen_design(spec: DesignSpec, rng: np.random.Generator | None = None) -> np.n
 
 def sample_errors(spec: ErrorSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n iid draws from the error law, all <= 0, by inverse transform."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _whole(n, "n", 1)
     if spec.kind == "zero":
         return np.zeros(n)
     u = rng.random(n)

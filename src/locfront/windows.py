@@ -42,12 +42,15 @@ def check_centers(centers: np.ndarray, h: float) -> None:
 def clip_window(x, h: float) -> tuple[list[float], list[float]]:
     """Lower and upper corners of the window (x, h), as lists of q floats.
 
-    Raises ValueError unless x lies in the unit cube and h > 0, so NaN fails
-    both. A bandwidth h >= 1 yields the whole cube. The corners are the IEEE
-    operations of ``np.maximum(x - h, 0)`` and ``np.minimum(x + h, 1)``
-    without numpy's per-call cost.
+    Raises ValueError unless x is one point, of shape (q,), in the unit cube
+    and h > 0, so NaN fails both. A bandwidth h >= 1 yields the whole cube.
+    The corners are the IEEE operations of ``np.maximum(x - h, 0)`` and
+    ``np.minimum(x + h, 1)`` without numpy's per-call cost.
     """
-    center = np.array(x, dtype=float, ndmin=1).tolist()
+    center = np.array(x, dtype=float, ndmin=1)
+    if center.ndim != 1:
+        raise ValueError(f"window center must have shape (q,), got shape {center.shape}")
+    center = center.tolist()
     if not (h > 0 and all(0.0 <= c <= 1.0 for c in center)):
         check_centers(np.array(center), h)  # raises, naming the bandwidth or the centre
     h = float(h)

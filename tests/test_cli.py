@@ -181,6 +181,21 @@ class TestFitCommand:
         assert json.loads(proc.stderr)["error"] == error
 
 
+def test_fit_runs_with_numpy_alone(tmp_path):
+    """scipy and hypothesis are test-only: ``locfront fit`` runs in a child
+    process where importing either fails."""
+    path = tmp_path / "data.csv"
+    path.write_text("x1,x2,y\n0.1,0.2,1.0\n0.8,0.3,0.5\n0.4,0.9,0.7\n0.6,0.6,0.9\n")
+    src = str(Path(locfront.__file__).resolve().parents[1])
+    code = ("import sys; sys.modules['scipy'] = None; sys.modules['hypothesis'] = None; "
+            "import locfront.cli; sys.exit(locfront.cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, "fit", str(path), "--grid", "3"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1 + 3 * 3
+
+
 class TestArgumentErrors:
     """argparse's errors end in the JSON error record and exit 2, as every
     other failure does; ``--help`` still exits 0."""

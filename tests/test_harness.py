@@ -282,7 +282,7 @@ class TestRateStudy:
                     bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0),
                 )
             )
-        with pytest.raises(ValueError, match="eval_grid_size"):
+        with pytest.raises(ValueError, match="^grid needs at least 1 point per axis, got 0$"):
             run_rate_study(spec, eval_grid_size=0, workers=1)
         result = run_rate_study(spec, eval_grid_size=9, workers=1)
         assert result.expected_slope == pytest.approx(-2.0 / 3.0)
@@ -440,13 +440,65 @@ class TestRuleChecks:
          (lambda: build_experiment_spec({**REQUIRED, "bandwidth": "fixed:x"}),
           "^bandwidth: expected a fixed h, got 'x'$"),
          (lambda: build_adaptive_config({"adaptive_grid": "0"}, 1),
-          "^adaptive_grid must be >= 1$")],
+          "^adaptive_grid: expected an integer grid size of at least 1 point per axis, got '0'$")],
         ids=["no-beta-star", "grid-0", "decreasing-n", "two-beta-stars", "non-integer-n",
              "non-numeric-fixed-h", "adaptive-grid-0"],
     )
     def test_refused_before_any_cell(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()
+
+    def test_balanced_rule_refuses_a_small_n_at_config_time(self):
+        # each cell's h is resolved when the spec is built, so n = 2 fails
+        # before the n = 400 cell runs
+        with pytest.raises(ConfigError, match=r"^bandwidth: need n >= 3 .*got n = 2$"):
+            build_experiment_spec({**REQUIRED, "n": "400, 2", "bandwidth": "balanced:1,2"})
+
+
+# every site of the one whole-number rule: (build from a value, the name its
+# refusal gives, the least value, where the accepted value is kept)
+WHOLE_SITES = {
+    "spec-q": (lambda v: small_center_spec(q=v), "q", 1, lambda s: s.q),
+    "spec-n": (lambda v: small_center_spec(n_list=(100, v)), "n_list (n)", 1,
+               lambda s: s.n_list[1]),
+    "spec-beta-star": (lambda v: small_center_spec(beta_star_list=(0, v)),
+                       "beta_star_list (beta_star)", 0, lambda s: s.beta_star_list[1]),
+    "spec-replications": (lambda v: small_center_spec(replications=v), "replications", 1,
+                          lambda s: s.replications),
+    "spec-seed": (lambda v: small_center_spec(master_seed=v), "master_seed (seed)", 0,
+                  lambda s: s.master_seed),
+    "estimator-beta-star": (lambda v: EstimatorConfig(beta_star=v, h=0.5), "beta_star", 0,
+                            lambda c: c.beta_star),
+    "hill-order": (lambda v: AdaptiveConfig(grid=[[0.5]], hill_order=v),
+                   "hill_order (adaptive_hill_order)", 1, lambda c: c.hill_order),
+    "design-q": (lambda v: DesignSpec("random_uniform", q=v, n=4), "q", 1, lambda d: d.q),
+    "design-n": (lambda v: DesignSpec("random_uniform", q=2, n=v), "n_list (n)", 1,
+                 lambda d: d.n),
+    "workers": (lambda v: worker_count(v, "workers"), "workers", 1, lambda w: w),
+}
+
+
+class TestWholeNumbers:
+    """One rule, ``estimator._whole``, for every count and degree: a float or
+    a string is refused, never truncated, and a numpy integer is kept as a
+    Python int."""
+
+    # worker_count reads decimal text, so "2" is a count there (TestWorkers)
+    @pytest.mark.parametrize("site,bad", [
+        (site, bad) for site in WHOLE_SITES for bad in (2.0, 1.5, "2", "least-1")
+        if (site, bad) != ("workers", "2")])
+    def test_refused_naming_the_field(self, site, bad):
+        build, name, least, _ = WHOLE_SITES[site]
+        value = least - 1 if bad == "least-1" else bad
+        match = f"^{re.escape(name)} must be an integer >= {least}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=match):
+            build(value)
+
+    @pytest.mark.parametrize("site", WHOLE_SITES)
+    def test_numpy_integer_kept_as_int(self, site):
+        build, _, _, kept = WHOLE_SITES[site]
+        value = kept(build(np.int64(2)))
+        assert value == 2 and type(value) is int
 
 
 class TestConfigParsing:
@@ -525,9 +577,10 @@ class TestConfigParsing:
             ({"adaptive_constant": "nan"}, "threshold_constant"),
             ({"adaptive_hill_order": "0"}, "adaptive_hill_order"),
             ({"adaptive_hill_order": "-4"}, "adaptive_hill_order"),
-            ({"q": "0"}, "q must be >= 1"),
-            ({"n": "50, 0"}, r"\(n\) entries must be >= 1, got 0"),
-            ({"beta_star": "1, -1"}, r"\(beta_star\) entries must be >= 0, got -1"),
+            ({"q": "0"}, "q must be an integer >= 1, got 0$"),
+            ({"n": "50, 0"}, r"n_list \(n\) must be an integer >= 1, got 0$"),
+            ({"beta_star": "1, -1"},
+             r"beta_star_list \(beta_star\) must be an integer >= 0, got -1$"),
             ({"q": "2", "n": "100, 500", "design": "equidistant_grid"},
              r"\(n\) entries must be perfect q-th powers \(q = 2\).*got 500"),
             ({"q": "3", "n": "1000, 100", "design": "equidistant_grid"},

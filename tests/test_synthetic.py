@@ -37,7 +37,7 @@ class TestGenDesign:
     def test_grid_root_test_is_integer_exact(self):
         # 10**18 + 1 rounds to the float 1e18, a perfect square and cube
         for q in (2, 3):
-            with pytest.raises(ValueError, match="n\\^\\(1/q\\) integer"):
+            with pytest.raises(ValueError, match="must be perfect q-th powers"):
                 DesignSpec("equidistant_grid", q=q, n=10**18 + 1)
             DesignSpec("equidistant_grid", q=q, n=(10**6 + 1) ** q)
         for q in (1, 2, 3, 4):
@@ -87,11 +87,12 @@ class TestSampleErrors:
 
 @pytest.mark.parametrize(
     "make,match",
-    [(lambda: DesignSpec("sobol", q=2, n=10), "^design kind must be one of"),
-     (lambda: DesignSpec("random_uniform", q=0, n=10), "^need q >= 1 and n >= 1$"),
-     (lambda: DesignSpec("random_uniform", q=2, n=0), "^need q >= 1 and n >= 1$"),
+    [(lambda: DesignSpec("sobol", q=2, n=10), "^design must be one of .*, got 'sobol'$"),
+     (lambda: DesignSpec("random_uniform", q=0, n=10), "^q must be an integer >= 1, got 0$"),
+     (lambda: DesignSpec("random_uniform", q=2, n=0),
+      r"^n_list \(n\) must be an integer >= 1, got 0$"),
      (lambda: sample_errors(ErrorSpec("exponential_unit"), 0, np.random.default_rng(0)),
-      "^need n >= 1$")],
+      "^n must be an integer >= 1, got 0$")],
     ids=["unknown-design", "design-q-0", "design-n-0", "errors-n-0"],
 )
 def test_bad_sizes_and_kinds_refused(make, match):

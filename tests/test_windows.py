@@ -45,6 +45,12 @@ class TestClipWindow:
             clip_window((0.5,), float("nan"))
         with pytest.raises(ValueError):
             clip_window((float("nan"), 0.5), 0.3)
+        # a batch of centres is not one window; objective_vector inherits the check
+        shape = r"^window center must have shape \(q,\), got shape \(1, 2\)$"
+        with pytest.raises(ValueError, match=shape):
+            clip_window([[0.5, 0.5]], 0.1)
+        with pytest.raises(ValueError, match=r"got shape \(2, 2\)$"):
+            objective_vector(np.full((2, 2), 0.5), 0.1, enumerate_basis(2, 1))
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_bounds_equal_numpy_clipping_byte_for_byte(self, q):
