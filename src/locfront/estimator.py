@@ -204,7 +204,8 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
     xv = np.asarray(x, dtype=float)
     if xv.shape != (data.q,):
         raise ValueError(f"point of shape {xv.shape}; expected ({data.q},)")
-    check_centers(xv, cfg.h)
+    if not (cfg.h > 0 and all(0.0 <= c <= 1.0 for c in xv.tolist())):
+        check_centers(xv, cfg.h)  # raises, naming the bandwidth or the centre
 
     h_eff = float(cfg.h)
     # h >= 1 covers the whole cube, so this terminates for nonempty data
@@ -216,8 +217,8 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
             raise EmptyWindowError(f"no data within bandwidth {cfg.h} of {xv.tolist()}")
         h_eff *= _EXPAND_FACTOR
 
-    pts = data.points[rows]
-    y = data.responses[rows]
+    pts = data.points.take(rows, axis=0)
+    y = data.responses.take(rows)
     n_active = int(rows.size)
 
     full_basis = enumerate_basis(data.q, cfg.beta_star)

@@ -189,14 +189,16 @@ def evaluation_grid(q: int, points_per_axis: int) -> np.ndarray:
     """Equidistant lattice on [0,1]^q including the boundary, (N^q, q).
 
     A single point per axis collapses to the cube center, so a one-point grid
-    evaluation coincides with the center-point evaluation. Fewer than one
-    point per axis raises ValueError, the one check of a grid size.
+    evaluation coincides with the center-point evaluation. This is the one
+    check of a grid size: fewer than one point per axis, or a size that
+    ``_whole`` refuses (such as ``2.5``), raises ValueError.
     """
-    if points_per_axis < 1:
+    if hasattr(points_per_axis, "__index__") and points_per_axis < 1:
         raise ValueError(f"grid needs at least 1 point per axis, got {points_per_axis}")
-    if points_per_axis == 1:
+    size = _whole(points_per_axis, "grid points per axis", 1)
+    if size == 1:
         return np.full((1, q), 0.5)
-    return lattice(np.linspace(0.0, 1.0, points_per_axis), q)
+    return lattice(np.linspace(0.0, 1.0, size), q)
 
 
 _STATUS_RANK = {"exact": 0, "expanded": 1, "degraded": 2}
@@ -360,7 +362,8 @@ def run_adaptive(
     spec: ExperimentSpec, cfg: AdaptiveConfig, workers: int | None = None
 ) -> list[AdaptiveRun]:
     """Ladder-selected bandwidth and diagnostics for every replication; the
-    spec must hold the adaptive rule and the ladder's ``LADDER_POLICIES``."""
+    spec must hold the adaptive rule and the ladder's ``LADDER_POLICIES``,
+    and a ``cfg.hill_order`` above n - 1 for any n is refused before any cell."""
     if len(spec.beta_star_list) != 1:
         raise ValueError("adaptive runs use one beta_star at a time")
     if spec.bandwidth.kind != "adaptive":
@@ -368,6 +371,11 @@ def run_adaptive(
     for key, value in LADDER_POLICIES.items():
         if getattr(spec, key) != value:
             raise ValueError(f"{key}: adaptive runs use {value!r}, got {getattr(spec, key)!r}")
+    for n in spec.n_list:
+        # a Hill estimate of order k reads k + 1 negative residuals of the n
+        if cfg.hill_order is not None and cfg.hill_order > n - 1:
+            raise ValueError(f"hill_order (adaptive_hill_order) {cfg.hill_order}: needs "
+                             f"{cfg.hill_order + 1} pilot residuals, more than n = {n}")
     return [
         AdaptiveRun(n=n, replication=r, result=res)
         for _, n, results in _run_cells(_adaptive_task, spec, cfg, workers)

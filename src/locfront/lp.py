@@ -38,9 +38,11 @@ switching to Bland's rule after a run of degenerate pivots that is always
 shorter than the pivot budget (``_bland_after``).
 
 The tableau has only p + 1 <= 11 rows, so a step costs numpy calls more
-than arithmetic, and the solver makes few: the entering column is one
-``argmin`` over the cost row, the ratio test and its tie-breaks run in Python
-floats (IEEE doubles, as numpy's) over the p rows, a pivot is four array
+than arithmetic, and the solver makes few: one ``argmin`` over the cost row
+picks the entering column, one ``tolist`` each reads that column and the
+rhs, and the ratio test is two plain loops over those p Python floats (IEEE
+doubles, as numpy's), one for the least ratio and one for the leaving row,
+with no dict, list or key function built per step. A pivot is four array
 steps into one work buffer (``_pivot``), and the tableau is written in place.
 """
 
@@ -150,13 +152,14 @@ def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarra
     """Iterate to optimality on a tableau with nonnegative rhs column.
 
     Returns "optimal" or "unbounded"; raises SimplexIterationError on the
-    pivot budget. Dantzig entering rule; the ratio test runs over the row
-    entries above TOL, and among the rows whose ratio is within TOL of the
-    smallest it takes the largest pivot entry (the first on ties). After
-    more than ``_bland_after`` degenerate pivots in a row it switches to
-    Bland's rule: the first improving column enters and the tied row with
-    the lowest basic index leaves. ``work`` is the pivot buffer, of T's
-    shape.
+    pivot budget, or when the ratio test finds no row, which only a tableau
+    that is no longer finite allows. Dantzig entering rule; the ratio test
+    runs over the row entries above TOL, and among the rows whose ratio is
+    within TOL of the smallest it takes the largest pivot entry (the first on
+    ties). After more than ``_bland_after`` degenerate pivots in a row it
+    switches to Bland's rule: the first improving column enters and the tied
+    row with the lowest basic index leaves. ``work`` is the pivot buffer, of
+    T's shape.
     """
     m = T.shape[0] - 1
     n = T.shape[1] - 1
@@ -175,21 +178,26 @@ def _run_simplex(T: np.ndarray, basis: list[int], max_iter: int, work: np.ndarra
             k = int(entering[0])
         else:
             k = int(costs.argmin())
-            if costs[k] >= -TOL:
+            if costs.item(k) >= -TOL:
                 return "optimal"
         col = columns[k].tolist()
         rhs = rhs_column.tolist()
-        ratios = {i: rhs[i] / c for i, c in enumerate(col) if c > TOL}
-        if not ratios:
+        # theta is the least ratio, kept as min() keeps it: replaced only by a smaller one
+        theta = None
+        for c, b in zip(col, rhs):
+            if c > TOL and (theta is None or b / c < theta):
+                theta = b / c
+        if theta is None:
             # no entry above TOL; an overflowed, infinite theta is not this test
             return "unbounded"
-        theta = min(ratios.values())
         bound = theta + TOL * (1.0 + abs(theta))
-        near = [i for i, ratio in ratios.items() if ratio <= bound]
-        if bland:
-            r = min(near, key=basis.__getitem__)
-        else:
-            r = max(near, key=col.__getitem__)
+        r = -1
+        for i, c in enumerate(col):
+            if c > TOL and rhs[i] / c <= bound and (
+                    r < 0 or (basis[i] < basis[r] if bland else c > col[r])):
+                r = i
+        if r < 0:  # only a NaN or -inf theta passes no row: the tableau overflowed
+            raise SimplexIterationError(f"ratio test found no row on a {m}x{n} tableau")
         if theta <= TOL:
             degenerate += 1
             if degenerate > bland_after:
@@ -245,10 +253,11 @@ def _start_tableau(A, d, v, start, T: np.ndarray) -> list[int] | None:
     if not np.abs(unit, out=unit).max() <= TOL:
         return None
     values = T[:p, m].tolist()
-    sign = np.array([-1.0 if c < 0.0 else 1.0 for c in values])
-    T[:p] *= sign[:, None]
+    for i, c in enumerate(values):
+        if c < 0.0:
+            T[i] *= -1.0
     # unit cost on the artificials, reduced: minus the sum of the negated rows
-    np.matmul(np.minimum(sign, 0.0), T[:p], out=T[p])
+    np.matmul([-1.0 if c < 0.0 else 0.0 for c in values], T[:p], out=T[p])
     return [m + i if c < 0.0 else int(k) for i, (c, k) in enumerate(zip(values, start))]
 
 
@@ -275,7 +284,7 @@ def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int, start=No
         sign = np.array([-1.0 if c < 0.0 else 1.0 for c in v.tolist()])
         # A / -d is -(A / d) bit for bit, so one divide writes the oriented rows
         np.divide(A.T, (sign * d)[:, None], out=T[:p, :m])
-        T[:p, m] = sign * v
+        np.multiply(sign, v, out=T[:p, m])
         # unit cost on the artificials, reduced against the artificial basis
         np.add.reduce(T[:p], axis=0, out=T[p])
         np.negative(T[p], out=T[p])

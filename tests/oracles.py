@@ -16,6 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
+from locfront import lp
+
 
 def quad_monomial_integral(lower, upper, center, exponents) -> float:
     """Adaptive numeric quadrature of prod_r (t_r - x_r)^j_r over a box."""
@@ -158,6 +160,61 @@ def reset_pivot(T, basis, r, k, work) -> None:
     T[:, k] = 0.0
     T[r, k] = 1.0
     basis[r] = k
+
+
+def dict_ratio_simplex(T, basis, max_iter, work) -> str:
+    """Reference simplex loop whose ratio test is a dict of the ratios above
+    TOL, ``min`` over its values, a list of the rows within TOL of that
+    minimum and a ``max`` (Dantzig: largest entry, first on ties) or ``min``
+    (Bland: lowest basic index) over them.
+
+    This is ``lp._run_simplex`` as it was before its single-pass ratio test,
+    line for line; it calls ``lp._bland_after`` and ``lp._pivot`` through the
+    module, so a test that patches them patches both loops.
+    """
+    TOL = lp.TOL
+    m = T.shape[0] - 1
+    n = T.shape[1] - 1
+    bland_after = lp._bland_after(m + n, max_iter)
+    degenerate = 0
+    bland = False
+    costs = T[-1, :n]
+    # views into T, which every pivot updates in place
+    columns = T[:m].T
+    rhs_column = columns[n]
+    for _ in range(max_iter):
+        if bland:
+            entering = np.flatnonzero(costs < -TOL)
+            if entering.size == 0:
+                return "optimal"
+            k = int(entering[0])
+        else:
+            k = int(costs.argmin())
+            if costs[k] >= -TOL:
+                return "optimal"
+        col = columns[k].tolist()
+        rhs = rhs_column.tolist()
+        ratios = {i: rhs[i] / c for i, c in enumerate(col) if c > TOL}
+        if not ratios:
+            # no entry above TOL; an overflowed, infinite theta is not this test
+            return "unbounded"
+        theta = min(ratios.values())
+        bound = theta + TOL * (1.0 + abs(theta))
+        near = [i for i, ratio in ratios.items() if ratio <= bound]
+        if bland:
+            r = min(near, key=basis.__getitem__)
+        else:
+            r = max(near, key=col.__getitem__)
+        if theta <= TOL:
+            degenerate += 1
+            if degenerate > bland_after:
+                bland = True
+        else:
+            degenerate = 0
+        lp._pivot(T, basis, r, k, work)
+    raise lp.SimplexIterationError(
+        f"simplex exceeded {max_iter} pivots on a {m}x{n} tableau"
+    )
 
 
 def _column_scaled(prob):

@@ -520,6 +520,27 @@ class TestAdaptiveCommand:
         assert record["error"] == error
         assert "adaptive_hill_order" in record["message"]
 
+    def test_hill_order_above_a_small_n_exits_2_before_any_ladder(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # order 40 suits n = 400 but reads 41 residuals, more than n = 30 has
+        ladders = []
+        monkeypatch.setattr(harness, "adaptive_bandwidth",
+                            lambda *args: ladders.append(args))
+        cfg_path = tmp_path / "adapt.cfg"
+        cfg_path.write_text("q = 2\nn = 400, 30\nbeta_star = 1\nreplications = 3\nseed = 5\n"
+                            "bandwidth = adaptive\nadaptive_grid = 3\n"
+                            "adaptive_hill_order = 40\n")
+        out_csv = tmp_path / "selections.csv"
+        code = main(["adaptive", "--config", str(cfg_path), "--out-csv", str(out_csv),
+                     "--workers", "1"])
+        assert code == 2
+        assert ladders == []
+        assert not out_csv.exists()
+        record = json.loads(capsys.readouterr().err)
+        assert record == {"error": "ValueError", "message": (
+            "hill_order (adaptive_hill_order) 40: needs 41 pilot residuals, more than n = 30")}
+
 
 class TestWorkerCount:
     """--workers and LOCFRONT_WORKERS pass the one worker rule, an integer

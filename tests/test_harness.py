@@ -494,6 +494,23 @@ class TestWholeNumbers:
         with pytest.raises(ValueError, match=match):
             build(value)
 
+    # evaluation_grid is the one grid-size check, and the spec and the rate
+    # study reach it; a whole size below 1 keeps its own message (TestRateStudy)
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "3"])
+    @pytest.mark.parametrize("entry,prefix", [
+        (lambda size: evaluation_grid(2, size), ""),
+        (lambda size: small_center_spec(evaluation="grid", grid_points_per_axis=size),
+         "evaluation: "),
+        (lambda size: run_rate_study(small_center_spec(
+            q=1, n_list=(40, 50, 60, 70), beta_star_list=(1,),
+            bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0)),
+            eval_grid_size=size, workers=1), ""),
+    ], ids=["evaluation-grid", "experiment-spec", "rate-study"])
+    def test_grid_size_refused_naming_it(self, entry, prefix, bad):
+        match = f"^{prefix}grid points per axis must be an integer >= 1, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=match):
+            entry(bad)
+
     @pytest.mark.parametrize("site", WHOLE_SITES)
     def test_numpy_integer_kept_as_int(self, site):
         build, _, _, kept = WHOLE_SITES[site]

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from locfront import lp
@@ -17,6 +17,7 @@ from locfront.lp import (
 from locfront.windows import clip_window, objective_vector
 
 from oracles import (
+    dict_ratio_simplex,
     dual_residuals,
     enumerate_vertices_oracle,
     highs_has_certificate,
@@ -387,6 +388,101 @@ def test_pivot_matches_the_reset_reference_byte_for_byte(case):
     unit = np.zeros(shape[0])
     unit[r] = 1.0
     assert T[:, k].tobytes() == unit.tobytes()
+
+
+TOL_ABOVE = float(np.nextafter(lp.TOL, 1.0))  # the least entry the ratio test reads
+# repeated values make tied ratios and tied entries; lp.TOL itself is not read
+ratio_entries = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.0, 0.25, 3.0, lp.TOL, -lp.TOL, TOL_ABOVE,
+     float(np.nextafter(lp.TOL, 0.0))])
+rhs_entries = st.sampled_from([0.0, 1.0, 0.5, 2.0, 3.0, lp.TOL, 1e-12])
+simplex_cases = st.tuples(st.integers(1, 6), st.integers(1, 8)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(ratio_entries, min_size=(shape[0] + 1) * shape[1],
+                 max_size=(shape[0] + 1) * shape[1]),  # p constraint rows and the cost row
+        st.lists(rhs_entries, min_size=shape[0], max_size=shape[0]),
+        st.permutations(range(shape[1], shape[1] + shape[0])),  # basic indices, for Bland
+        st.sampled_from([None, 0, 1, 3]),  # degenerate pivots before Bland's rule, if forced
+    )
+)
+
+
+def _simplex_run(run, case):
+    """Outcome, (r, k) pivots, basis and final tableau of ``run`` on the
+    tableau of ``case``, with ``lp._bland_after`` forced when the case says so."""
+    entries, rhs, basis, bland_after = case
+    p, n = len(rhs), len(entries) // (len(rhs) + 1)
+    T = np.zeros((p + 1, n + 1))
+    T[:, :n] = np.reshape(entries, (p + 1, n))
+    T[:p, n] = rhs
+    basis, pivots, pivot = list(basis), [], lp._pivot
+
+    def recording(T, basis, r, k, work):
+        pivots.append((r, k))
+        pivot(T, basis, r, k, work)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_pivot", recording)
+        if bland_after is not None:
+            patch.setattr(lp, "_bland_after", lambda size, max_iter: bland_after)
+        try:
+            outcome = run(T, basis, 40, np.empty_like(T))
+        except lp.SimplexIterationError:
+            outcome = "pivot budget"
+    return outcome, pivots, basis, T
+
+
+TIED_RATIOS = ([1.0, 1.0, 2.0, 1.0, 2.0, 1.0, -1.0, -1.0], [1.0, 2.0, 2.0], [2, 3, 4], None)
+AT_TOL = ([lp.TOL, 1.0, TOL_ABOVE, 1.0, -lp.TOL, 1.0, -1.0, 0.5], [0.0, 1e-12, 1.0], [2, 3, 4],
+          None)
+NONPOSITIVE_COLUMN = ([-1.0, 1.0, 0.0, 1.0, lp.TOL, 1.0, -1.0, 0.0], [1.0, 1.0, 1.0], [2, 3, 4],
+                      None)
+FORCED_BLAND = ([2.0, 0.0, 1.0, 0.5, -1.0, 2.0, -1.0, 1.0, -2.0], [0.0, 0.0], [3, 4], 0)
+BLAND_AT_TOL = ([1.0, 2.0, 1.0, lp.TOL, -1.0, -1.0], [1.0, 0.0], [2, 3], 0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(simplex_cases)
+@example(TIED_RATIOS)
+@example(AT_TOL)
+@example(NONPOSITIVE_COLUMN)
+@example(FORCED_BLAND)
+@example(BLAND_AT_TOL)
+def test_single_pass_ratio_test_matches_the_dict_reference(case):
+    """The single-pass ratio test of ``_run_simplex`` pivots on the same (r, k)
+    sequence as the dict/min/max reference and leaves the same tableau bytes,
+    basis and outcome, on tied ratios and entries, entries at and beside TOL,
+    columns with no entry above TOL and under a forced Bland switch."""
+    try:
+        expected = _simplex_run(dict_ratio_simplex, case)
+    except ValueError:  # max() of no rows: a NaN ratio after an overflow
+        expected = None
+    # an overflowed tableau is numerical breakdown, which neither loop defines
+    assume(expected is not None and np.isfinite(expected[3]).all())
+    outcome, pivots, basis, T = _simplex_run(lp._run_simplex, case)
+    assert (outcome, pivots, basis) == expected[:3]
+    assert T.tobytes() == expected[3].tobytes()
+
+
+@pytest.mark.parametrize("case,outcome,pivots", [
+    (TIED_RATIOS, "optimal", [(1, 0), (0, 1)]),  # three ratios of 1: the first largest entry
+    (AT_TOL, "optimal", [(1, 0)]),  # the entry at TOL is not read, the one above it is
+    (NONPOSITIVE_COLUMN, "unbounded", []),
+    (FORCED_BLAND, "optimal", [(1, 2), (1, 0), (0, 1)]),  # Dantzig would stop after (0, 0)
+    # under Bland's rule, row 1 has the lower basic index but its entry is TOL
+    (BLAND_AT_TOL, "optimal", [(1, 0), (0, 1)]),
+], ids=["tied-ratios", "at-tol", "nonpositive-column", "forced-bland", "bland-at-tol"])
+def test_ratio_test_examples_reach_their_branch(case, outcome, pivots):
+    assert _simplex_run(lp._run_simplex, case)[:2] == (outcome, pivots)
+
+
+@pytest.mark.parametrize("rhs", [-np.inf, np.nan], ids=["minus-inf", "nan"])
+def test_ratio_test_on_a_non_finite_tableau_raises(rhs):
+    # theta is -inf or NaN, so its bound is NaN and no row passes; the dict
+    # reference failed here with max() of an empty list
+    T = np.array([[1.0, rhs], [-1.0, 0.0]])
+    with pytest.raises(SimplexIterationError, match="^ratio test found no row on a 1x1 tableau$"):
+        lp._run_simplex(T, [1], 10, np.empty_like(T))
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,3 +153,63 @@ def test_only_the_estimator_calls_fit_at():
                 if name == "fit_at":
                     callers.add(path.name)
     assert callers == {"estimator.py"}
+
+
+def count_calls(monkeypatch, module, attr):
+    """Patch ``attr`` in every ``locfront`` module that binds the function, as
+    the benchmark's tracer does, and return the list each call appends to."""
+    calls = []
+    original = getattr(importlib.import_module(module), attr)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "locfront" and getattr(mod, attr, None) is original:
+            monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+class TestOneCallPerLayerPerFit:
+    """Every fit reaches the traced layers once each: one ``basis.vandermonde``
+    and one ``windows.objective_vector`` call, and one ``lp.solve`` per degree
+    tried, so a degree retry is one more solve and nothing else."""
+
+    @pytest.fixture
+    def layers(self, monkeypatch):
+        fits = []
+
+        def recording(data, x, cfg, start=None):
+            fit = fit_at(data, x, cfg, start=start)
+            fits.append((cfg.beta_star, fit.effective_degree))
+            return fit
+
+        counts = {name: count_calls(monkeypatch, module, name) for module, name in (
+            ("locfront.lp", "solve"), ("locfront.basis", "vandermonde"),
+            ("locfront.windows", "objective_vector"))}
+        monkeypatch.setattr(estimator, "fit_at", recording)
+        return fits, counts
+
+    def check(self, fits, counts):
+        assert len(counts["vandermonde"]) == len(fits)
+        assert len(counts["objective_vector"]) == len(fits)
+        assert len(counts["solve"]) == sum(asked - used + 1 for asked, used in fits)
+
+    def test_degree_retries(self, layers):
+        # two points: degree 2 (six coefficients) is unbounded, degree 1 is not
+        fits, counts = layers
+        data = Dataset(np.array([[0.5, 0.5], [0.9, 0.9]]), np.array([1.0, 2.0]))
+        estimator.fit_at(data, np.array([0.5, 0.5]), EstimatorConfig(beta_star=2, h=0.5))
+        assert fits == [(2, 1)]
+        self.check(fits, counts)
+        assert len(counts["solve"]) == 2
+
+    def test_ladder(self, layers):
+        fits, counts = layers
+        rng = np.random.default_rng(4)
+        points = rng.uniform(size=(150, 2))
+        data = Dataset(points, points.sum(axis=1) - rng.exponential(size=150))
+        adaptive_bandwidth(data, 2, AdaptiveConfig(grid=evaluation_grid(2, 3)))
+        assert any(used < asked for asked, used in fits)  # the ladder retried some degrees
+        self.check(fits, counts)
