@@ -14,9 +14,8 @@ a value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, cached_property
-from math import comb
 
 import numpy as np
 
@@ -25,26 +24,25 @@ import numpy as np
 class BasisSpec:
     """Complete shifted-monomial basis of total degree <= max_degree in q variables.
 
-    ``indices`` holds one exponent tuple per monomial, graded-lexicographic:
-    sorted by degree, then by exponent tuple with earlier coordinates
-    dominating, so e.g. for q=2, degree 2 the order is
-    (0,0),(1,0),(0,1),(2,0),(1,1),(0,2).
+    ``indices``, built here from q and max_degree, holds one exponent tuple
+    per monomial, graded-lexicographic: sorted by degree, then by exponent
+    tuple with earlier coordinates dominating, so e.g. for q=2, degree 2 the
+    order is (0,0),(1,0),(0,1),(2,0),(1,1),(0,2).
     """
 
     q: int
     max_degree: int
-    indices: tuple[tuple[int, ...], ...]
+    indices: tuple[tuple[int, ...], ...] = field(init=False)
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("dimension q must be >= 1")
         if self.max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        expected = comb(self.q + self.max_degree, self.q)
-        if len(self.indices) != expected:
-            raise ValueError(
-                f"basis has {len(self.indices)} indices, expected {expected}"
-            )
+        d = self.max_degree
+        raw = [j for j in itertools.product(range(d + 1), repeat=self.q) if sum(j) <= d]
+        raw.sort(key=lambda j: (sum(j), tuple(-e for e in j)))
+        object.__setattr__(self, "indices", tuple(raw))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -58,12 +56,16 @@ class BasisSpec:
         axis, comes earlier in the basis. The q monomials of degree one have
         the constant as parent.
         """
-        position = {j: k for k, j in enumerate(self.indices)}
         table = []
         for j in self.indices[1:]:
             r = next(r for r, e in enumerate(j) if e)
-            table.append((position[j[:r] + (j[r] - 1,) + j[r + 1 :]], r))
+            table.append((self.position[j[:r] + (j[r] - 1,) + j[r + 1 :]], r))
         return tuple(table)
+
+    @cached_property
+    def position(self) -> dict[tuple[int, ...], int]:
+        """Basis position of each exponent tuple."""
+        return {j: k for k, j in enumerate(self.indices)}
 
 
 @dataclass(frozen=True)
@@ -89,31 +91,9 @@ class PolyCoeffs:
 
 @lru_cache(maxsize=None)
 def enumerate_basis(q: int, beta_star: int) -> BasisSpec:
-    """All multi-indices with |j| <= beta_star in q variables, graded-lex order.
-
-    Parameters
-    ----------
-    q : int
-        Number of covariates, >= 1.
-    beta_star : int
-        Total degree bound, >= 0.
-
-    Returns
-    -------
-    BasisSpec
-        Basis with C(q + beta_star, q) indices, zero index first.
-    """
-    if q < 1:
-        raise ValueError("dimension q must be >= 1")
-    if beta_star < 0:
-        raise ValueError("beta_star must be >= 0")
-    raw = [
-        j
-        for j in itertools.product(range(beta_star + 1), repeat=q)
-        if sum(j) <= beta_star
-    ]
-    raw.sort(key=lambda j: (sum(j), tuple(-e for e in j)))
-    return BasisSpec(q=q, max_degree=beta_star, indices=tuple(raw))
+    """``BasisSpec(q, beta_star)``, built once per (q, beta_star) and shared:
+    C(q + beta_star, q) indices in graded-lex order, zero index first."""
+    return BasisSpec(q, beta_star)
 
 
 def _as_points(t, q: int) -> tuple[np.ndarray, bool]:
@@ -181,11 +161,10 @@ def poly_gradient(coeffs: PolyCoeffs, t, x):
     """
     basis = coeffs.basis
     pts, single = _as_points(t, basis.q)
-    position = {j: k for k, j in enumerate(basis.indices)}
     lowered = np.zeros((len(basis), basis.q))
     for j, c in zip(basis.indices, coeffs.coeffs):
         for r, e in enumerate(j):
             if e:
-                lowered[position[j[:r] + (e - 1,) + j[r + 1 :]], r] = e * c
+                lowered[basis.position[j[:r] + (e - 1,) + j[r + 1 :]], r] = e * c
     grad = vandermonde(basis, pts, x) @ lowered
     return grad[0] if single else grad

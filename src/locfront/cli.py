@@ -185,13 +185,12 @@ def _cmd_rate_study(args) -> int:
     cfg = _read_config(args.config)
     spec = harness.build_experiment_spec(cfg)
     grid_size = harness.config_int(cfg, "rate_grid", args.eval_grid)
-    if grid_size is not None:
-        try:
-            harness.evaluation_grid(1, grid_size)  # checks the size on one axis
-        except ValueError as err:
-            source = "rate_grid" if "rate_grid" in cfg else "--eval-grid"
-            raise ConfigError(f"{source}: {err}") from None
-    sizes = {} if grid_size is None else {"eval_grid_size": grid_size}
+    source = "rate_grid" if "rate_grid" in cfg else "--eval-grid"
+    try:
+        sizes = {} if grid_size is None else {
+            "eval_grid_size": estimator._whole(grid_size, f"{source}: grid points per axis", 1)}
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     result = harness.run_rate_study(spec, workers=args.workers, **sizes)
     harness.write_rate_json(result, args.out_json)
     return 0

@@ -204,8 +204,8 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
     xv = np.asarray(x, dtype=float)
     if xv.shape != (data.q,):
         raise ValueError(f"point of shape {xv.shape}; expected ({data.q},)")
-    if not (cfg.h > 0 and all(0.0 <= c <= 1.0 for c in xv.tolist())):
-        check_centers(xv, cfg.h)  # raises, naming the bandwidth or the centre
+    if not all(0.0 <= c <= 1.0 for c in xv.tolist()):
+        check_centers(xv, cfg.h)  # raises, naming the centre
 
     h_eff = float(cfg.h)
     # h >= 1 covers the whole cube, so this terminates for nonempty data

@@ -55,7 +55,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class BandwidthRule:
-    """How each cell's bandwidth is produced from (n, q, beta_star)."""
+    """How each cell's bandwidth is produced from (n, q, beta_star); a given h,
+    alpha or beta is kept as a positive, finite Python float."""
 
     kind: str  # "fixed" | "simulation" | "balanced" | "adaptive"
     h: float | None = None
@@ -65,19 +66,21 @@ class BandwidthRule:
     def __post_init__(self):
         if self.kind not in ("fixed", "simulation", "balanced", "adaptive"):
             raise ValueError(f"unknown bandwidth rule {self.kind!r}")
-        if self.kind == "fixed":
-            if self.h is None or not 0.0 < self.h <= 1.0:
-                raise ValueError("fixed rule needs h in (0, 1]")
-        if self.kind == "balanced":
-            if self.alpha is None or self.beta is None:
-                raise ValueError("balanced rule needs alpha and beta")
-            if not (self.alpha > 0 and self.beta > 0):
-                raise ValueError("balanced rule needs positive alpha and beta")
+        for key in ("h", "alpha", "beta"):
+            if (value := getattr(self, key)) is None:
+                continue
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"bandwidth: {self.kind} {key} must be in (0, inf), got {value}")
+            object.__setattr__(self, key, float(value))
+        if self.kind == "fixed" and (self.h is None or self.h > 1.0):
+            raise ValueError("fixed rule needs h in (0, 1]")
+        if self.kind == "balanced" and None in (self.alpha, self.beta):
+            raise ValueError("balanced rule needs alpha and beta")
 
 
 def resolve_bandwidth(rule: BandwidthRule, n: int, q: int, beta_star: int) -> float:
     if rule.kind == "fixed":
-        return float(rule.h)
+        return rule.h
     if rule.kind == "simulation":
         return simulation_bandwidth(n, q, beta_star)
     if rule.kind == "balanced":
@@ -114,6 +117,8 @@ class ExperimentSpec:
                                      for b in self.beta_star_list)),
             ("replications", _whole(self.replications, "replications", 1)),
             ("master_seed", _whole(self.master_seed, "master_seed (seed)", 0)),
+            ("grid_points_per_axis",
+             _whole(self.grid_points_per_axis, "evaluation: grid points per axis", 1)),
         ):
             object.__setattr__(self, name, value)
         for name in ("n_list", "beta_star_list"):
@@ -127,11 +132,6 @@ class ExperimentSpec:
             raise ValueError(f"bandwidth: {err}") from err
         if self.evaluation not in ("center", "grid"):
             raise ValueError("evaluation must be 'center' or 'grid'")
-        if self.evaluation == "grid":
-            try:  # the size rule is the same on every axis, so one axis checks it
-                evaluation_grid(1, self.grid_points_per_axis)
-            except ValueError as err:
-                raise ValueError(f"evaluation: {err}") from err
         _check_policies(self.fallback, self.empty_window)
 
 
@@ -189,12 +189,10 @@ def evaluation_grid(q: int, points_per_axis: int) -> np.ndarray:
     """Equidistant lattice on [0,1]^q including the boundary, (N^q, q).
 
     A single point per axis collapses to the cube center, so a one-point grid
-    evaluation coincides with the center-point evaluation. This is the one
-    check of a grid size: fewer than one point per axis, or a size that
-    ``_whole`` refuses (such as ``2.5``), raises ValueError.
+    evaluation coincides with the center-point evaluation. The size is read
+    by ``_whole``: one that is not an integer >= 1 (such as ``0`` or ``2.5``)
+    raises ValueError.
     """
-    if hasattr(points_per_axis, "__index__") and points_per_axis < 1:
-        raise ValueError(f"grid needs at least 1 point per axis, got {points_per_axis}")
     size = _whole(points_per_axis, "grid points per axis", 1)
     if size == 1:
         return np.full((1, q), 0.5)
@@ -440,14 +438,6 @@ def write_adaptive_diagnostics_csv(result: AdaptiveResult, path) -> None:
 # experiment config files: "key = value" lines, '#' comments
 
 
-_CONFIG_KEYS = {
-    "q", "n", "beta_star", "replications", "seed", "design", "error", "model",
-    "bandwidth", "evaluation", "fallback", "empty_window",
-    "rate_grid", "adaptive_s", "adaptive_rho", "adaptive_constant",
-    "adaptive_grid", "adaptive_hill_order",
-}
-
-
 def parse_config(text: str) -> dict[str, str]:
     """Raw key/value pairs from config text; unknown keys are rejected."""
     out: dict[str, str] = {}
@@ -536,11 +526,16 @@ _SPEC_PARSERS = {"design": str, "error": _parse_error, "model": ModelSpec,
 _ADAPTIVE_KNOBS = {"adaptive_s": ("s", config_float), "adaptive_rho": ("rho", config_float),
                    "adaptive_constant": ("threshold_constant", config_float),
                    "adaptive_hill_order": ("hill_order", config_int)}
+_REQUIRED = ("q", "n", "beta_star", "replications", "seed")
+# every key parse_config accepts; evaluation, rate_grid and adaptive_grid
+# have parsers of their own
+_CONFIG_KEYS = {*_REQUIRED, *_SPEC_PARSERS, *_ADAPTIVE_KNOBS,
+                "evaluation", "rate_grid", "adaptive_grid"}
 
 
 def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
     """Assemble an ExperimentSpec from parsed config pairs."""
-    for key in ("q", "n", "beta_star", "replications", "seed"):
+    for key in _REQUIRED:
         if key not in cfg:
             raise ConfigError(f"missing required key {key!r}")
     try:

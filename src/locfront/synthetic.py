@@ -8,6 +8,7 @@ Y_i = g(X_i) + eps_i <= g(X_i) under a single sign convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,8 @@ class ErrorSpec:
     ``weibull`` with shape alpha has magnitude survival exp(-z^alpha), so its
     cdf near zero is z^alpha + O(z^(2 alpha)); ``exponential_unit`` is the
     alpha = 1 case. ``zero`` is a degenerate noiseless law for exact-recovery
-    tests; it has no tail index.
+    tests; it has no tail index. ``alpha`` is kept as a positive, finite Python
+    float.
     """
 
     kind: str
@@ -61,10 +63,10 @@ class ErrorSpec:
     def __post_init__(self):
         if self.kind not in _ERROR_KINDS:
             raise ValueError(f"error kind must be one of {_ERROR_KINDS}")
-        if self.kind == "weibull" and not self.alpha > 0:
-            raise ValueError(f"weibull shape must be positive, got {self.alpha}")
-        if self.kind == "exponential_unit":
-            object.__setattr__(self, "alpha", 1.0)
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"error: {self.kind} shape must be in (0, inf), got {self.alpha}")
+        object.__setattr__(self, "alpha", 1.0 if self.kind == "exponential_unit"
+                           else float(self.alpha))
 
 
 @dataclass(frozen=True)

@@ -31,15 +31,19 @@ class TestEnumerateBasis:
         assert len(enumerate_basis(3, 3)) == 20
 
     @pytest.mark.parametrize(
-        "q,degree,indices,match",
-        [(0, 1, ((0,),), "^dimension q must be >= 1$"),
-         (1, -1, ((0,),), "^max_degree must be >= 0$"),
-         (2, 1, ((0, 0), (1, 0)), "^basis has 2 indices, expected 3$")],
-        ids=["q-0", "negative-degree", "too-few-indices"],
+        "q,degree,match",
+        [(0, 1, "^dimension q must be >= 1$"), (1, -1, "^max_degree must be >= 0$")],
+        ids=["q-0", "negative-degree"],
     )
-    def test_hand_built_basis_refused(self, q, degree, indices, match):
+    def test_hand_built_basis_refused(self, q, degree, match):
         with pytest.raises(ValueError, match=match):
-            BasisSpec(q, degree, indices)
+            BasisSpec(q, degree)
+
+    @pytest.mark.parametrize("q,degree", itertools.product([1, 2, 3], range(5)))
+    def test_enumerate_basis_is_the_cached_basis_spec(self, q, degree):
+        # fit_at asks for its bases on every LP, so each is built once
+        assert enumerate_basis(q, degree) is enumerate_basis(q, degree)
+        assert enumerate_basis(q, degree) == BasisSpec(q, degree)
 
     @pytest.mark.parametrize("q,beta_star", itertools.product([1, 2, 3], range(4)))
     def test_completeness(self, q, beta_star):

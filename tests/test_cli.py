@@ -316,6 +316,29 @@ class TestSimulateCommand:
         assert record["error"] == "ConfigError"
         assert "n_list (n)" in record["message"] and "500" in record["message"]
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("error = exponential", "error = weibull:inf", "error"),
+        ("bandwidth = simulation", "bandwidth = balanced:inf,2", "bandwidth"),
+    ], ids=["weibull-inf", "balanced-inf"])
+    def test_non_finite_parameter_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                        old, new, key):
+        # the JSON echo cannot hold inf, so the spec refuses it before any cell
+        import locfront.estimator as estimator
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a cell was fitted")
+
+        monkeypatch.setattr(estimator, "fit_at", no_fit)
+        (tmp_path / "exp.cfg").write_text(SIM_CONFIG.replace(old, new))
+        code = main(["simulate", "--config", str(tmp_path / "exp.cfg"),
+                     "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json"),
+                     "--workers", "1"])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"{key}: ") and "inf" in record["message"]
+
     def test_adaptive_rule_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SIM_CONFIG.replace("bandwidth = simulation", "bandwidth = adaptive"))
@@ -430,6 +453,23 @@ class TestRateStudyCommand:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ValueError"
         assert record["message"].startswith("error: ")
+
+    def test_infinite_balanced_parameter_exits_2_before_any_fit(self, tmp_path, capsys,
+                                                                monkeypatch):
+        import locfront.estimator as estimator
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a cell was fitted")
+
+        monkeypatch.setattr(estimator, "fit_at", no_fit)
+        (tmp_path / "rate.cfg").write_text(RATE_CONFIG.replace("balanced:1,2", "balanced:inf,2"))
+        code = main(["rate-study", "--config", str(tmp_path / "rate.cfg"),
+                     "--out-json", str(tmp_path / "rate.json"), "--workers", "1"])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["rate.cfg"]
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert record["message"] == "bandwidth: balanced alpha must be in (0, inf), got inf"
 
     def test_nan_balanced_parameter_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "rate.cfg"

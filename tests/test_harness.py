@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locfront.bandwidth import AdaptiveConfig, adaptive_bandwidth, simulation_bandwidth
 from locfront import estimator, harness
@@ -282,7 +284,7 @@ class TestRateStudy:
                     bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0),
                 )
             )
-        with pytest.raises(ValueError, match="^grid needs at least 1 point per axis, got 0$"):
+        with pytest.raises(ValueError, match="^grid points per axis must be an integer >= 1, got 0$"):
             run_rate_study(spec, eval_grid_size=0, workers=1)
         result = run_rate_study(spec, eval_grid_size=9, workers=1)
         assert result.expected_slope == pytest.approx(-2.0 / 3.0)
@@ -427,7 +429,7 @@ class TestRuleChecks:
         "make,match",
         [(lambda: small_center_spec(beta_star_list=()), "^beta_star_list must be nonempty$"),
          (lambda: build_experiment_spec({**REQUIRED, "evaluation": "grid:0"}),
-          "^evaluation: grid needs at least 1 point per axis, got 0$"),
+          "^evaluation: grid points per axis must be an integer >= 1, got 0$"),
          (lambda: run_rate_study(small_center_spec(
              q=1, n_list=(400, 200, 100, 50), beta_star_list=(1,),
              bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0)), workers=1),
@@ -467,6 +469,9 @@ WHOLE_SITES = {
                           lambda s: s.replications),
     "spec-seed": (lambda v: small_center_spec(master_seed=v), "master_seed (seed)", 0,
                   lambda s: s.master_seed),
+    # checked on a center spec too, as the JSON echo writes it
+    "spec-grid": (lambda v: small_center_spec(grid_points_per_axis=v),
+                  "evaluation: grid points per axis", 1, lambda s: s.grid_points_per_axis),
     "estimator-beta-star": (lambda v: EstimatorConfig(beta_star=v, h=0.5), "beta_star", 0,
                             lambda c: c.beta_star),
     "hill-order": (lambda v: AdaptiveConfig(grid=[[0.5]], hill_order=v),
@@ -494,9 +499,9 @@ class TestWholeNumbers:
         with pytest.raises(ValueError, match=match):
             build(value)
 
-    # evaluation_grid is the one grid-size check, and the spec and the rate
-    # study reach it; a whole size below 1 keeps its own message (TestRateStudy)
-    @pytest.mark.parametrize("bad", [2.5, 2.0, "3"])
+    # _whole is the one grid-size rule: evaluation_grid, which the rate study
+    # calls, reads its size through it, and so does the spec
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "3", 0])
     @pytest.mark.parametrize("entry,prefix", [
         (lambda size: evaluation_grid(2, size), ""),
         (lambda size: small_center_spec(evaluation="grid", grid_points_per_axis=size),
@@ -516,6 +521,79 @@ class TestWholeNumbers:
         build, _, _, kept = WHOLE_SITES[site]
         value = kept(build(np.int64(2)))
         assert value == 2 and type(value) is int
+
+
+def _scalar(values, *types):
+    """One of ``values`` as a Python number or as one of the numpy ``types``."""
+    return st.builds(lambda v, t: t(v), st.sampled_from(values), st.sampled_from(types))
+
+
+_ints = (int, np.int64, np.int32)
+_floats = (float, np.float64, np.float32)
+_shapes = _scalar([0.5, 1.0, 2.0, 0.25, 3.0, 0.0, float("inf"), float("-inf"),
+                   float("nan")], *_floats)
+
+
+class TestJsonEcho:
+    """``write_result_json`` echoes the spec as strict JSON, so the spec keeps
+    its numbers as Python ints and finite Python floats and refuses the rest."""
+
+    @pytest.mark.parametrize("build,kept", [
+        (lambda: ErrorSpec("weibull", alpha=np.float32(2.0)), lambda e: e.alpha),
+        (lambda: ErrorSpec("zero", alpha=np.float64(0.5)), lambda e: e.alpha),
+        (lambda: BandwidthRule("fixed", h=np.float32(0.25)), lambda r: r.h),
+        (lambda: BandwidthRule("balanced", alpha=np.float32(1.0), beta=np.float64(2.0)),
+         lambda r: r.beta),
+    ], ids=["weibull", "zero", "fixed", "balanced"])
+    def test_numpy_float_kept_as_float(self, build, kept):
+        assert type(kept(build())) is float
+
+    @pytest.mark.parametrize("build,match", [
+        (lambda: ErrorSpec("weibull", alpha=float("inf")),
+         r"^error: weibull shape must be in \(0, inf\), got inf$"),
+        (lambda: ErrorSpec("zero", alpha=np.float32("nan")),
+         r"^error: zero shape must be in \(0, inf\), got nan$"),
+        (lambda: BandwidthRule("balanced", alpha=float("inf"), beta=2.0),
+         r"^bandwidth: balanced alpha must be in \(0, inf\), got inf$"),
+        (lambda: BandwidthRule("balanced", alpha=1.0, beta=np.float64("-inf")),
+         r"^bandwidth: balanced beta must be in \(0, inf\), got -inf$"),
+        (lambda: BandwidthRule("fixed", h=np.float32("nan")),
+         r"^bandwidth: fixed h must be in \(0, inf\), got nan$"),
+    ], ids=["weibull-inf", "zero-nan", "balanced-alpha-inf", "balanced-beta-minus-inf",
+            "fixed-nan"])
+    def test_non_finite_float_refused_naming_the_key(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        q=_scalar([1, 2, 1, 0], *_ints),
+        n_list=st.lists(_scalar([1, 4, 16, 64, 50, 0], *_ints), min_size=1, max_size=3),
+        beta_star_list=st.lists(_scalar([0, 1, 3, 2, -1], *_ints), min_size=1, max_size=2),
+        counts=st.tuples(_scalar([1, 3, 0], *_ints), _scalar([0, 7, 2**30], *_ints)),
+        design=st.sampled_from(["random_uniform", "equidistant_grid"]),
+        error=st.tuples(st.sampled_from(["exponential_unit", "weibull", "zero"]), _shapes),
+        bandwidth=st.one_of(
+            st.just({"kind": "simulation"}),
+            st.fixed_dictionaries({"kind": st.just("fixed"), "h": _shapes}),
+            st.fixed_dictionaries({"kind": st.just("balanced"), "alpha": _shapes,
+                                   "beta": _shapes}),
+        ),
+        evaluation=st.sampled_from(["center", "grid"]),
+        grid=st.one_of(_scalar([1, 3, 20, 0], *_ints), _scalar([2.0, 2.5], *_floats)),
+    )
+    def test_every_spec_that_constructs_is_strict_json(
+            self, q, n_list, beta_star_list, counts, design, error, bandwidth, evaluation, grid):
+        """Every ExperimentSpec that constructs, numpy scalars included, is
+        echoed by ``write_result_json`` as strict JSON."""
+        try:
+            spec = ExperimentSpec(q=q, n_list=tuple(n_list), beta_star_list=tuple(beta_star_list),
+                                  replications=counts[0], master_seed=counts[1], design=design,
+                                  error=ErrorSpec(*error), bandwidth=BandwidthRule(**bandwidth),
+                                  evaluation=evaluation, grid_points_per_axis=grid)
+        except ValueError:
+            return
+        json.dumps(asdict(spec), allow_nan=False)
 
 
 class TestConfigParsing:
