@@ -84,15 +84,14 @@ class AdaptiveConfig:
     hill_order: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError("s must lie in (0, 1)")
-        if not self.rho > 1.0:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
+        for name, key, low, high in (("s", "adaptive_s", 0.0, 1.0),
+                                     ("rho", "adaptive_rho", 1.0, math.inf),
+                                     ("threshold_constant", "adaptive_constant", 0.0, math.inf)):
+            if not low < (value := getattr(self, name)) < high:
+                raise ValueError(f"{name} ({key}) must be in ({low:g}, {high:g}), got {value}")
         grid = np.atleast_2d(np.asarray(self.grid, dtype=float))
         if grid.shape[0] < 1:
             raise ValueError("evaluation grid must be nonempty")
-        if not self.threshold_constant > 0:
-            raise ValueError("threshold_constant must be positive")
         if self.hill_order is not None:
             object.__setattr__(self, "hill_order",
                                _whole(self.hill_order, "hill_order (adaptive_hill_order)", 1))

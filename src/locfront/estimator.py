@@ -4,12 +4,12 @@ For an evaluation point x, the fit collects the data inside the clipped
 max-norm window, builds the LP "minimize the polynomial's integral over the
 window subject to lying above every windowed response", solves it, and
 reports the polynomial's value at x, which by the basis layout is the first
-coefficient.
+coefficient. At degree 0 that is the window's largest response, taken
+directly with no LP, as ``fit_local_constant`` takes it.
 
 Fixed-sample degeneracies the asymptotic theory ignores are handled by
 explicit policies: an empty window can either error or grow the bandwidth,
-and an unbounded LP can either error or retry at a lower degree (degree 0 is
-always bounded once the window holds a point).
+and an unbounded LP can either error or retry at a lower degree, down to 0.
 
 Before solving, responses are shifted by their window maximum and the
 constant coefficient is shifted back afterwards. The LP then sees the same
@@ -145,9 +145,9 @@ class FitResult:
     actually used is always in ``effective_bandwidth``. ``n_active`` is the
     number of data rows in that window, the LP's constraint count and the
     ``n_active`` column of ``locfront fit``'s output, not ``len(active_rows)``.
-    ``active_rows`` holds the ascending dataset row numbers of the LP's
-    optimal basis, the responses the polynomial touches; they can start a
-    fit at a nearby window.
+    ``active_rows`` holds the ascending dataset row numbers the polynomial
+    touches, the LP's optimal basis or at degree 0 the first window row at
+    the maximum; they can start a fit at a nearby window.
     """
 
     value: float
@@ -182,10 +182,10 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
     cfg : EstimatorConfig
     start : array-like of int, optional
         Dataset row numbers to start the LP from, such as the
-        ``active_rows`` of a fit on a nearby window. Used only at the degree
-        whose basis has as many terms as ``start`` has rows, and only when
-        every one of them lies in the window; the fit is the same with or
-        without it, up to the choice among tied optimal bases.
+        ``active_rows`` of a fit on a nearby window. Used only at a degree
+        >= 1 whose basis has as many terms as ``start`` has rows, and only
+        when all lie in the window; the fit is the same with or without it,
+        up to the choice among tied optimal bases.
 
     Returns
     -------
@@ -225,43 +225,43 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
     A_full = vandermonde(full_basis, pts, xv)
     v_full = objective_vector(xv, h_eff, full_basis)
     shift = float(y.max())
-    y_shifted = y - shift
 
     degree = cfg.beta_star
-    while True:
-        basis_k = enumerate_basis(data.q, degree)
-        p_k = len(basis_k)
-        outcome = lp.solve(lp.LpProblem(v_full[:p_k], A_full[:, :p_k], y_shifted),
+    coeffs, active = np.array([shift]), y.argmax(keepdims=True)  # degree 0, no LP
+    while degree:
+        p_k = len(enumerate_basis(data.q, degree))
+        outcome = lp.solve(lp.LpProblem(v_full[:p_k], A_full[:, :p_k], y - shift),
                            start=_start_positions(rows, start, p_k))
         if isinstance(outcome, lp.Optimal):
-            coeffs = outcome.solution.copy()
+            coeffs, active = outcome.solution.copy(), outcome.active
             coeffs[0] += shift
-            if degree < cfg.beta_star:
-                status = "degraded"
-            elif h_eff != cfg.h:  # the window grew
-                status = "expanded"
-            else:
-                status = "exact"
-            return FitResult(
-                value=float(coeffs[0]),
-                coeffs=PolyCoeffs(basis_k, coeffs),
-                status=status,
-                effective_degree=degree,
-                effective_bandwidth=h_eff,
-                n_active=n_active,
-                active_rows=rows.take(outcome.active),
-            )
-        if isinstance(outcome, lp.Unbounded):
-            if cfg.fallback == "error":
-                raise UnboundedFitError(
-                    f"degree-{degree} fit at {xv.tolist()} is unbounded "
-                    f"({n_active} points in window)"
-                )
-            degree -= 1  # degree 0 is always bounded: v[0] > 0, ones column
-            continue
+            break
         # infeasibility is impossible: raising the constant coefficient
         # satisfies every constraint
-        raise RuntimeError(f"local fit LP reported {outcome!r}")
+        if not isinstance(outcome, lp.Unbounded):
+            raise RuntimeError(f"local fit LP reported {outcome!r}")
+        if cfg.fallback == "error":
+            raise UnboundedFitError(
+                f"degree-{degree} fit at {xv.tolist()} is unbounded "
+                f"({n_active} points in window)"
+            )
+        degree -= 1
+
+    if degree < cfg.beta_star:
+        status = "degraded"
+    elif h_eff != cfg.h:  # the window grew
+        status = "expanded"
+    else:
+        status = "exact"
+    return FitResult(
+        value=float(coeffs[0]),
+        coeffs=PolyCoeffs(enumerate_basis(data.q, degree), coeffs),
+        status=status,
+        effective_degree=degree,
+        effective_bandwidth=h_eff,
+        n_active=n_active,
+        active_rows=rows.take(active),
+    )
 
 
 def fit_local_constant(data: Dataset, x, h: float):

@@ -175,9 +175,9 @@ class TestAdaptiveBandwidth:
         # selection agrees with the brute-force rule on the emitted table
         assert res1.k_hat == brute_force_ladder_index(res1.grid_estimates, res1.thresholds)
 
-    def test_infinite_thresholds_select_top_rung(self):
+    def test_unreachable_thresholds_select_top_rung(self):
         data = sine_data(200, seed=3)
-        cfg = AdaptiveConfig(grid=self.grid(7), threshold_constant=float("inf"))
+        cfg = AdaptiveConfig(grid=self.grid(7), threshold_constant=1e300)
         res = adaptive_bandwidth(data, 0, cfg)
         assert res.k_hat == res.bandwidths.shape[0] - 2
         assert res.trigger is None
@@ -210,6 +210,11 @@ class TestAdaptiveBandwidth:
             AdaptiveConfig(grid=self.grid(), rho=float("nan"))
         with pytest.raises(ValueError):
             AdaptiveConfig(grid=self.grid(), threshold_constant=float("nan"))
+        for key, kwargs in (("adaptive_rho", {"rho": math.inf}),
+                            ("adaptive_constant", {"threshold_constant": math.inf}),
+                            ("adaptive_s", {"s": math.inf})):
+            with pytest.raises(ValueError, match=rf"\({key}\) must be in \(.*, got inf$"):
+                AdaptiveConfig(grid=self.grid(), **kwargs)
         with pytest.raises(ValueError):
             AdaptiveConfig(grid=np.empty((0, 1)))
         for order in (0, -2):

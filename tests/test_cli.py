@@ -524,6 +524,26 @@ class TestAdaptiveCommand:
         assert not out_csv.exists()
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("line,key", [("adaptive_rho = inf", "adaptive_rho"),
+                                          ("adaptive_constant = inf", "adaptive_constant")])
+    def test_infinite_ladder_parameter_exits_2_before_any_cell(self, tmp_path, capsys,
+                                                               monkeypatch, line, key):
+        # an infinite rho gives a two-rung ladder, an infinite constant
+        # thresholds that never fire; both are refused before the first cell
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell was run")
+
+        monkeypatch.setattr(harness, "adaptive_bandwidth", no_cell)
+        cfg_path = tmp_path / "adapt.cfg"
+        cfg_path.write_text(ADAPTIVE_CONFIG.replace("adaptive_rho = 1.3", line))
+        code = main(["adaptive", "--config", str(cfg_path), "--out-csv",
+                     str(tmp_path / "selections.csv"), "--workers", "1"])
+        assert code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["adapt.cfg"]
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert f"({key})" in record["message"] and record["message"].endswith("got inf")
+
     def test_fixed_rule_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "adapt.cfg"
         cfg_path.write_text(ADAPTIVE_CONFIG.replace(

@@ -80,6 +80,55 @@ class TestFitAtExamples:
             fit_at(line, 0.5, cfg)
 
 
+class TestDegreeZero:
+    """A fit that reaches degree 0 is the constant at the window maximum,
+    taken directly: no LP, and the value ``fit_local_constant`` returns."""
+
+    # row 0 lies outside the window (0.5, 0.2); inside it, row 1's response
+    # is within the LP's tolerance of the maximum at row 2
+    RESPONSES = np.array([5.0, 1 - 1e-12, 1.0, 0.0])
+    SPREAD = Dataset(np.array([[0.9], [0.4], [0.5], [0.6]]), RESPONSES)
+    # one covariate value: every degree >= 1 is unbounded, so beta* = 2 degrades to 0
+    STACKED = Dataset(np.array([[0.9], [0.6], [0.6], [0.6]]), RESPONSES)
+    CASES = [(SPREAD, 0, "exact"), (STACKED, 0, "exact"), (STACKED, 2, "degraded")]
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = lp.solve
+
+        def recording(prob, start=None):
+            calls.append((prob.shape[1], start))
+            return solve(prob, start=start)
+
+        monkeypatch.setattr(lp, "solve", recording)
+        return calls
+
+    @pytest.mark.parametrize("ds,beta_star,status", CASES,
+                             ids=["spread-beta0", "stacked-beta0", "stacked-beta2"])
+    def test_tolerance_tie_takes_the_exact_maximum(self, solves, ds, beta_star, status):
+        # an LP may stop on row 1, within its tolerance of the maximum, and
+        # report 0.999999999999
+        fit = fit_at(ds, [0.5], EstimatorConfig(beta_star=beta_star, h=0.2), start=[1])
+        assert (fit.status, fit.effective_degree) == (status, 0)
+        assert fit.value == 1.0
+        assert fit.value == fit_local_constant(ds, [0.5], 0.2)
+        assert fit.coeffs.coeffs.tolist() == [1.0]
+        npt.assert_array_equal(fit.active_rows, [2])
+        # degree 0 solves nothing, so the one-row start reaches no LP
+        assert [p for p, _ in solves] == list(range(beta_star + 1, 1, -1))
+        assert all(start is None for _, start in solves)
+
+    def test_active_row_is_the_first_row_at_the_maximum(self, solves):
+        # rows 2 and 3 tie exactly at the maximum; one covariate value again
+        ds = Dataset(np.array([[0.9], [0.55], [0.55], [0.55]]), np.array([5.0, 0.2, 0.7, 0.7]))
+        for beta_star in (0, 3):
+            fit = fit_at(ds, [0.5], EstimatorConfig(beta_star=beta_star, h=0.1))
+            assert fit.effective_degree == 0
+            npt.assert_array_equal(fit.active_rows, [2])
+        assert [p for p, _ in solves] == [4, 3, 2]
+
+
 class TestFitLocalConstant:
     def test_window_max(self):
         ds = Dataset(np.array([[0.45], [0.5], [0.55]]), np.array([0.2, 0.7, 0.5]))
