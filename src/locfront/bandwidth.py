@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import Dataset, EstimatorConfig, _whole, fit_grid, fit_local_constant
+from .windows import check_centers
 
 # every rung's fit policies: no rung fails for want of data or of boundedness
 LADDER_POLICIES = {"fallback": "degrade_degree", "empty_window": "expand"}
@@ -68,8 +69,8 @@ def hill_tail_index(residuals, k: int) -> float:
 class AdaptiveConfig:
     """Knobs of the ladder selection rule.
 
-    ``grid`` is the evaluation grid the fits are compared on, shape
-    (n_grid, q). The threshold of ladder index k is
+    ``grid`` is the evaluation grid the fits are compared on, a read-only copy
+    of shape (n_grid, q) with every point in the unit cube. The threshold of ladder index k is
     ``threshold_constant * (log n / (n h_k^q))**(1/alpha_hat)`` with alpha_hat
     from ``hill_tail_index`` on local-constant pilot residuals. ``hill_order``
     (config key ``adaptive_hill_order``) fixes its order count k >= 1 by
@@ -89,9 +90,11 @@ class AdaptiveConfig:
                                      ("threshold_constant", "adaptive_constant", 0.0, math.inf)):
             if not low < (value := getattr(self, name)) < high:
                 raise ValueError(f"{name} ({key}) must be in ({low:g}, {high:g}), got {value}")
-        grid = np.atleast_2d(np.asarray(self.grid, dtype=float))
+        grid = np.array(np.atleast_2d(self.grid), dtype=float)  # a copy, made read-only
         if grid.shape[0] < 1:
             raise ValueError("evaluation grid must be nonempty")
+        check_centers(grid, 1.0)  # any positive h: only the points are checked here
+        grid.setflags(write=False)
         if self.hill_order is not None:
             object.__setattr__(self, "hill_order",
                                _whole(self.hill_order, "hill_order (adaptive_hill_order)", 1))
@@ -185,17 +188,14 @@ def adaptive_bandwidth(
     ladder = h0 * cfg.rho ** np.arange(K + 2)
     capped = np.minimum(ladder, 1.0)
 
-    grid = cfg.grid
-    if grid.shape[1] != data.q:
-        raise ValueError(f"grid has dimension {grid.shape[1]}, expected {data.q}")
     # the pilot needs no rung, so a Hill order the data cannot support fails first
     alpha_hat = _pilot_alpha(data, cfg)
-    estimates = np.empty((K + 2, grid.shape[0]))
+    estimates = np.empty((K + 2, cfg.grid.shape[0]))
     starts = None
     for k in range(K + 2):
         fit_cfg = EstimatorConfig(beta_star=beta_star, h=float(capped[k]), **LADDER_POLICIES)
         try:
-            fits = fit_grid(data, grid, fit_cfg, starts)
+            fits = fit_grid(data, cfg.grid, fit_cfg, starts)
             estimates[k] = [fit.value for fit in fits]
             starts = [fit.active_rows for fit in fits]
         except (ValueError, RuntimeError) as err:

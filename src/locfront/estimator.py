@@ -1,11 +1,11 @@
 """The local polynomial frontier estimator.
 
 For an evaluation point x, the fit collects the data inside the clipped
-max-norm window, builds the LP "minimize the polynomial's integral over the
-window subject to lying above every windowed response", solves it, and
-reports the polynomial's value at x, which by the basis layout is the first
-coefficient. At degree 0 that is the window's largest response, taken
-directly with no LP, as ``fit_local_constant`` takes it.
+max-norm window. At degree 0 it reports their largest response, as
+``fit_local_constant`` does, and builds no LP. At degree >= 1 it builds the
+design matrix and objective of the LP "minimize the polynomial's integral
+over the window subject to lying above every windowed response", solves it,
+and reports the polynomial's value at x, by the basis layout its first coefficient.
 
 Fixed-sample degeneracies the asymptotic theory ignores are handled by
 explicit policies: an empty window can either error or grow the bandwidth,
@@ -180,6 +180,8 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
     x : array-like, shape (q,)
         Evaluation point in the unit cube.
     cfg : EstimatorConfig
+        At ``beta_star`` 0 the fit reads only its window's responses; at >= 1 it builds the
+        design matrix and objective once, and each degree retry solves a column prefix of them.
     start : array-like of int, optional
         Dataset row numbers to start the LP from, such as the
         ``active_rows`` of a fit on a nearby window. Used only at a degree
@@ -217,17 +219,15 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
             raise EmptyWindowError(f"no data within bandwidth {cfg.h} of {xv.tolist()}")
         h_eff *= _EXPAND_FACTOR
 
-    pts = data.points.take(rows, axis=0)
     y = data.responses.take(rows)
-    n_active = int(rows.size)
-
-    full_basis = enumerate_basis(data.q, cfg.beta_star)
-    A_full = vandermonde(full_basis, pts, xv)
-    v_full = objective_vector(xv, h_eff, full_basis)
     shift = float(y.max())
 
     degree = cfg.beta_star
     coeffs, active = np.array([shift]), y.argmax(keepdims=True)  # degree 0, no LP
+    if degree:
+        full_basis = enumerate_basis(data.q, degree)
+        A_full = vandermonde(full_basis, data.points.take(rows, axis=0), xv)
+        v_full = objective_vector(xv, h_eff, full_basis)
     while degree:
         p_k = len(enumerate_basis(data.q, degree))
         outcome = lp.solve(lp.LpProblem(v_full[:p_k], A_full[:, :p_k], y - shift),
@@ -241,10 +241,8 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
         if not isinstance(outcome, lp.Unbounded):
             raise RuntimeError(f"local fit LP reported {outcome!r}")
         if cfg.fallback == "error":
-            raise UnboundedFitError(
-                f"degree-{degree} fit at {xv.tolist()} is unbounded "
-                f"({n_active} points in window)"
-            )
+            raise UnboundedFitError(f"degree-{degree} fit at {xv.tolist()} is unbounded "
+                                    f"({rows.size} points in window)")
         degree -= 1
 
     if degree < cfg.beta_star:
@@ -259,7 +257,7 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
         status=status,
         effective_degree=degree,
         effective_bandwidth=h_eff,
-        n_active=n_active,
+        n_active=int(rows.size),
         active_rows=rows.take(active),
     )
 

@@ -359,9 +359,9 @@ class AdaptiveRun:
 def run_adaptive(
     spec: ExperimentSpec, cfg: AdaptiveConfig, workers: int | None = None
 ) -> list[AdaptiveRun]:
-    """Ladder-selected bandwidth and diagnostics for every replication; the
-    spec must hold the adaptive rule and the ladder's ``LADDER_POLICIES``,
-    and a ``cfg.hill_order`` above n - 1 for any n is refused before any cell."""
+    """Ladder-selected bandwidth and diagnostics for every replication; the spec must hold
+    the adaptive rule and the ladder's ``LADDER_POLICIES``, and a grid not of dimension q or
+    a ``cfg.hill_order`` above n - 1 for any n is refused before any cell."""
     if len(spec.beta_star_list) != 1:
         raise ValueError("adaptive runs use one beta_star at a time")
     if spec.bandwidth.kind != "adaptive":
@@ -369,6 +369,8 @@ def run_adaptive(
     for key, value in LADDER_POLICIES.items():
         if getattr(spec, key) != value:
             raise ValueError(f"{key}: adaptive runs use {value!r}, got {getattr(spec, key)!r}")
+    if cfg.grid.shape[1] != spec.q:
+        raise ValueError(f"grid has dimension {cfg.grid.shape[1]}, expected q = {spec.q}")
     for n in spec.n_list:
         # a Hill estimate of order k reads k + 1 negative residuals of the n
         if cfg.hill_order is not None and cfg.hill_order > n - 1:

@@ -3,13 +3,18 @@
 Each oracle deliberately avoids the code path it verifies: quadrature instead
 of antiderivatives, exact rationals instead of floating-point products, direct
 rule evaluation instead of the incremental scan, vertex enumeration and scipy's
-HiGHS instead of the package's simplex.
+HiGHS instead of the package's simplex. ``random_lp`` draws the random local
+LPs those oracles check, and ``count_calls`` records the calls the package
+makes to one of its functions.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +22,8 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 
 from locfront import lp
+from locfront.basis import enumerate_basis
+from locfront.windows import objective_vector
 
 
 def quad_monomial_integral(lower, upper, center, exponents) -> float:
@@ -284,3 +291,42 @@ def dual_residuals(prob, g, b) -> tuple[float, float]:
     gap_scale = float(np.abs(y) @ np.abs(g) + np.abs(v) @ np.abs(b))
     gap = abs(float(y @ g) - float(v @ b))
     return feasibility, gap / gap_scale if gap_scale > 0.0 else 0.0
+
+
+def random_lp(rng) -> lp.LpProblem:
+    """A random dense local LP of up to 10 rows: v is a real window's integral
+    vector for a basis of q = 1-3 and degree 0-5, 0-2 or 0-1, and A and y
+    are uniform on [-1, 1]."""
+    q = int(rng.integers(1, 4))
+    max_deg = {1: 5, 2: 2, 3: 1}[q]
+    basis = enumerate_basis(q, int(rng.integers(0, max_deg + 1)))
+    v = objective_vector(rng.uniform(0, 1, q), rng.uniform(0.05, 0.8), basis)
+    m = int(rng.integers(len(basis), 11))
+    return lp.LpProblem(v, rng.uniform(-1, 1, (m, len(basis))), rng.uniform(-1, 1, m))
+
+
+def count_calls(monkeypatch, module, attr, limit=None) -> list[dict]:
+    """Patch ``attr`` in every ``locfront`` module that binds the function, as
+    the benchmark's tracer does, and return the list each call appends to.
+
+    A call appends its arguments by parameter name, defaults included, and
+    then its return value under "result". A call past ``limit`` raises
+    AssertionError instead of running, so a looping caller stops.
+    """
+    calls = []
+    original = getattr(importlib.import_module(module), attr)
+    signature = inspect.signature(original)
+
+    def counting(*args, **kwargs):
+        if limit is not None and len(calls) >= limit:
+            raise AssertionError(f"more than {limit} {attr} calls in one test")
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        bound.arguments["result"] = original(*args, **kwargs)
+        return bound.arguments["result"]
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "locfront" and getattr(mod, attr, None) is original:
+            monkeypatch.setattr(mod, attr, counting)
+    return calls

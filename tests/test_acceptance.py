@@ -18,12 +18,7 @@ from locfront.harness import (
     run_mse,
     run_rate_study,
 )
-from locfront.lp import (
-    LpProblem,
-    Optimal,
-    Unbounded,
-    solve,
-)
+from locfront.lp import Optimal, Unbounded, solve
 from locfront.synthetic import ModelSpec
 from locfront.windows import clip_window, contains_mask, objective_vector
 
@@ -33,6 +28,7 @@ from oracles import (
     enumerate_vertices_oracle,
     highs_has_certificate,
     quad_monomial_integral,
+    random_lp,
 )
 
 TABLE1_Q2 = {
@@ -163,18 +159,6 @@ def test_criterion_04_rate_study_slope():
     )
 
 
-def _random_lp(rng):
-    q = int(rng.integers(1, 4))
-    max_deg = {1: 5, 2: 2, 3: 1}[q]
-    basis = enumerate_basis(q, int(rng.integers(0, max_deg + 1)))
-    v = objective_vector(rng.uniform(0, 1, q), rng.uniform(0.05, 0.8), basis)
-    p = len(basis)
-    m = int(rng.integers(p, 11))
-    A = rng.uniform(-1, 1, (m, p))
-    y = rng.uniform(-1, 1, m)
-    return LpProblem(v, A, y)
-
-
 def test_criterion_05_lp_oracle_equivalence_and_duality():
     rng = np.random.default_rng(55)
     bounded_checked = 0
@@ -182,7 +166,7 @@ def test_criterion_05_lp_oracle_equivalence_and_duality():
     mismatches = []
     while bounded_checked < 1000 and attempts < 100_000:
         attempts += 1
-        prob = _random_lp(rng)
+        prob = random_lp(rng)
         out = solve(prob)
         if not isinstance(out, Optimal):
             continue
@@ -204,7 +188,7 @@ def test_criterion_05_lp_oracle_equivalence_and_duality():
     # Unbounded carries no certificate, so an independent solver checks it
     consistent = 0
     for _ in range(1000):
-        prob = _random_lp(rng)
+        prob = random_lp(rng)
         if isinstance(solve(prob), Unbounded) == (not highs_has_certificate(prob)):
             consistent += 1
     ok = not mismatches and bounded_checked == 1000 and consistent == 1000

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,9 +218,26 @@ class TestAdaptiveBandwidth:
                 AdaptiveConfig(grid=self.grid(), **kwargs)
         with pytest.raises(ValueError):
             AdaptiveConfig(grid=np.empty((0, 1)))
+        for point in ([2.0, 0.5], [math.nan, 0.5], [0.5, math.inf]):
+            with pytest.raises(ValueError, match=re.escape(f"window center {point} outside")):
+                AdaptiveConfig(grid=[[0.5, 0.5], point])
         for order in (0, -2):
             with pytest.raises(ValueError, match="adaptive_hill_order"):
                 AdaptiveConfig(grid=self.grid(), hill_order=order)
+
+    def test_grid_of_another_dimension_fails_at_the_first_rung(self):
+        # fit_at's shape check refuses it, with the rung and the point named
+        message = r"^ladder rung k=0 \(h=.*\): grid point 0 at \[0.5, 0.5\]: .*expected \(1,\)$"
+        with pytest.raises(ValueError, match=message):
+            adaptive_bandwidth(sine_data(60, seed=3), 1, AdaptiveConfig(grid=[[0.5, 0.5]]))
+
+    def test_config_keeps_a_read_only_copy_of_its_grid(self):
+        grid = self.grid()
+        cfg = AdaptiveConfig(grid=grid)
+        grid[0, 0] = 0.9
+        assert cfg.grid[0, 0] == 0.05
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.grid[0, 0] = 0.9
 
     @pytest.mark.parametrize(
         "q,n,seed,order", [(1, 60, 11, None), (1, 300, 12, 5), (2, 250, 13, None),

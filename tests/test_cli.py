@@ -43,6 +43,28 @@ evaluation = center
 """
 
 
+@pytest.fixture
+def refuse(tmp_path, monkeypatch, capsys):
+    """Run a study command on a config text, with every cell forbidden; it
+    must exit 2 and leave no file beside the config. Returns the stderr record."""
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "_make_dataset", no_cell)
+
+    def run(command, config, *flags):
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text(config)
+        out = str(tmp_path / "out")
+        outs = {"simulate": ["--out-csv", out, "--out-json", out],
+                "rate-study": ["--out-json", out], "adaptive": ["--out-csv", out]}[command]
+        assert main([command, "--config", str(cfg_path), *outs, *flags]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["study.cfg"]
+        return json.loads(capsys.readouterr().err)
+
+    return run
+
+
 class TestFitCommand:
     def test_single_point_matches_library(self, dataset_file, capsys):
         path, ds = dataset_file
@@ -263,12 +285,8 @@ class TestSimulateCommand:
         assert lines[0] == "beta_star,n,mse,mc_stderr,n_exact,n_degraded,n_expanded"
         assert len(lines) == 5
 
-    def test_bad_config_reports_json_error(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("q = 2\nwat = 9")
-        code = main(["simulate", "--config", str(cfg_path), "--out-csv", "a", "--out-json", "b"])
-        assert code == 2
-        record = json.loads(capsys.readouterr().err)
+    def test_bad_config_reports_json_error(self, refuse):
+        record = refuse("simulate", "q = 2\nwat = 9")
         assert record["error"] == "ConfigError"
         assert "wat" in record["message"]
 
@@ -277,42 +295,17 @@ class TestSimulateCommand:
                      "--out-csv", "a", "--out-json", "b"])
         assert code == 2
 
-    def test_bad_sample_size_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
-        import locfront.estimator as estimator
-
-        def no_fit(*args):
-            raise AssertionError("a cell was fitted")
-
-        monkeypatch.setattr(estimator, "fit_at", no_fit)
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(SIM_CONFIG.replace("n = 64, 121", "n = 50, 0"))
-        out_csv = tmp_path / "results.csv"
-        code = main(["simulate", "--config", str(cfg_path), "--out-csv", str(out_csv),
-                     "--out-json", str(tmp_path / "results.json"), "--workers", "1"])
-        assert code == 2
-        assert not out_csv.exists()
-        record = json.loads(capsys.readouterr().err)
+    def test_bad_sample_size_exits_2_before_any_fit(self, refuse):
+        record = refuse("simulate", SIM_CONFIG.replace("n = 64, 121", "n = 50, 0"),
+                        "--workers", "1")
         assert record["error"] == "ConfigError"
         assert "(n)" in record["message"]
 
-    def test_off_lattice_sample_size_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
-        import locfront.estimator as estimator
-
-        def no_fit(*args):
-            raise AssertionError("a cell was fitted")
-
-        monkeypatch.setattr(estimator, "fit_at", no_fit)
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(
-            SIM_CONFIG.replace("q = 1", "q = 2").replace("n = 64, 121", "n = 100, 500")
-            .replace("design = random_uniform", "design = equidistant_grid")
-        )
-        out_csv = tmp_path / "results.csv"
-        code = main(["simulate", "--config", str(cfg_path), "--out-csv", str(out_csv),
-                     "--out-json", str(tmp_path / "results.json"), "--workers", "1"])
-        assert code == 2
-        assert not out_csv.exists()
-        record = json.loads(capsys.readouterr().err)
+    def test_off_lattice_sample_size_exits_2_before_any_fit(self, refuse):
+        record = refuse("simulate", SIM_CONFIG.replace("q = 1", "q = 2")
+                        .replace("n = 64, 121", "n = 100, 500")
+                        .replace("design = random_uniform", "design = equidistant_grid"),
+                        "--workers", "1")
         assert record["error"] == "ConfigError"
         assert "n_list (n)" in record["message"] and "500" in record["message"]
 
@@ -320,30 +313,14 @@ class TestSimulateCommand:
         ("error = exponential", "error = weibull:inf", "error"),
         ("bandwidth = simulation", "bandwidth = balanced:inf,2", "bandwidth"),
     ], ids=["weibull-inf", "balanced-inf"])
-    def test_non_finite_parameter_exits_2_before_any_fit(self, tmp_path, capsys, monkeypatch,
-                                                        old, new, key):
+    def test_non_finite_parameter_exits_2_before_any_fit(self, refuse, old, new, key):
         # the JSON echo cannot hold inf, so the spec refuses it before any cell
-        import locfront.estimator as estimator
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a cell was fitted")
-
-        monkeypatch.setattr(estimator, "fit_at", no_fit)
-        (tmp_path / "exp.cfg").write_text(SIM_CONFIG.replace(old, new))
-        code = main(["simulate", "--config", str(tmp_path / "exp.cfg"),
-                     "--out-csv", str(tmp_path / "r.csv"), "--out-json", str(tmp_path / "r.json"),
-                     "--workers", "1"])
-        assert code == 2
-        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
-        record = json.loads(capsys.readouterr().err)
+        record = refuse("simulate", SIM_CONFIG.replace(old, new), "--workers", "1")
         assert record["error"] == "ConfigError"
         assert record["message"].startswith(f"{key}: ") and "inf" in record["message"]
 
-    def test_adaptive_rule_rejected(self, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(SIM_CONFIG.replace("bandwidth = simulation", "bandwidth = adaptive"))
-        assert main(["simulate", "--config", str(cfg_path), "--out-csv", "a",
-                     "--out-json", "b"]) == 2
+    def test_adaptive_rule_rejected(self, refuse):
+        refuse("simulate", SIM_CONFIG.replace("bandwidth = simulation", "bandwidth = adaptive"))
 
 
 RATE_CONFIG = """
@@ -394,15 +371,10 @@ class TestRateStudyCommand:
         "rate_grid,error,match",
         [("0", "ConfigError", "rate_grid"), ("x", "ConfigError", "rate_grid")],
     )
-    def test_bad_rate_grid_exits_2(self, tmp_path, capsys, rate_grid, error, match):
-        cfg_path = tmp_path / "rate.cfg"
-        cfg_path.write_text(RATE_CONFIG.replace("rate_grid = 7", f"rate_grid = {rate_grid}"))
-        out_json = tmp_path / "rate.json"
-        code = main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
-                     "--workers", "1"])
-        assert code == 2
-        assert not out_json.exists()
-        record = json.loads(capsys.readouterr().err)
+    def test_bad_rate_grid_exits_2(self, refuse, rate_grid, error, match):
+        record = refuse("rate-study", RATE_CONFIG.replace("rate_grid = 7",
+                                                          f"rate_grid = {rate_grid}"),
+                        "--workers", "1")
         assert record["error"] == error
         assert match in record["message"]
 
@@ -411,75 +383,34 @@ class TestRateStudyCommand:
         [("", "0", "--eval-grid"), ("", "-3", "--eval-grid"), ("rate_grid = 0", "5", "rate_grid")],
         ids=["flag-0", "flag-negative", "config-over-flag"],
     )
-    def test_grid_size_below_1_names_its_source(self, tmp_path, capsys, monkeypatch,
-                                                config_line, eval_grid, source):
+    def test_grid_size_below_1_names_its_source(self, refuse, config_line, eval_grid, source):
         # refused by the command before any cell, naming the flag or the key
         # that set the size; rate_grid overrides --eval-grid
-        def no_run(*args, **kwargs):
-            raise AssertionError("the study ran")
-
-        monkeypatch.setattr(harness, "run_rate_study", no_run)
-        cfg_path = tmp_path / "rate.cfg"
-        cfg_path.write_text(RATE_CONFIG.replace("rate_grid = 7", config_line))
-        out_json = tmp_path / "rate.json"
-        code = main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
-                     "--workers", "1", "--eval-grid", eval_grid])
-        assert code == 2
-        assert not out_json.exists()
-        record = json.loads(capsys.readouterr().err)
+        record = refuse("rate-study", RATE_CONFIG.replace("rate_grid = 7", config_line),
+                        "--workers", "1", "--eval-grid", eval_grid)
         assert record["error"] == "ConfigError"
         assert record["message"].startswith(f"{source}: ")
 
-    def test_zero_median_exits_2_without_a_file(self, tmp_path, capsys, monkeypatch):
+    def test_zero_median_exits_2_without_a_file(self, refuse):
         # noiseless cubic data fitted at degree 3 gives medians of 0 or of
         # rounding noise, and the zero law has no tail index for a theory
         # slope: the study refuses it before any cell is fitted
-        import locfront.estimator as estimator
-
-        def no_fit(*args):
-            raise AssertionError("a cell was fitted")
-
-        monkeypatch.setattr(estimator, "fit_at", no_fit)
-        cfg_path = tmp_path / "rate.cfg"
-        cfg_path.write_text(
-            RATE_CONFIG.replace("beta_star = 1", "beta_star = 3\nerror = zero")
-            .replace("rate_grid = 7", "rate_grid = 3")
-        )
-        out_json = tmp_path / "rate.json"
-        code = main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
-                     "--workers", "1"])
-        assert code == 2
-        assert not out_json.exists()
-        record = json.loads(capsys.readouterr().err)
+        record = refuse("rate-study", RATE_CONFIG.replace("beta_star = 1",
+                                                          "beta_star = 3\nerror = zero")
+                        .replace("rate_grid = 7", "rate_grid = 3"), "--workers", "1")
         assert record["error"] == "ValueError"
         assert record["message"].startswith("error: ")
 
-    def test_infinite_balanced_parameter_exits_2_before_any_fit(self, tmp_path, capsys,
-                                                                monkeypatch):
-        import locfront.estimator as estimator
-
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a cell was fitted")
-
-        monkeypatch.setattr(estimator, "fit_at", no_fit)
-        (tmp_path / "rate.cfg").write_text(RATE_CONFIG.replace("balanced:1,2", "balanced:inf,2"))
-        code = main(["rate-study", "--config", str(tmp_path / "rate.cfg"),
-                     "--out-json", str(tmp_path / "rate.json"), "--workers", "1"])
-        assert code == 2
-        assert [p.name for p in tmp_path.iterdir()] == ["rate.cfg"]
-        record = json.loads(capsys.readouterr().err)
+    def test_infinite_balanced_parameter_exits_2_before_any_fit(self, refuse):
+        record = refuse("rate-study", RATE_CONFIG.replace("balanced:1,2", "balanced:inf,2"),
+                        "--workers", "1")
         assert record["error"] == "ConfigError"
         assert record["message"] == "bandwidth: balanced alpha must be in (0, inf), got inf"
 
-    def test_nan_balanced_parameter_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "rate.cfg"
-        cfg_path.write_text(RATE_CONFIG.replace("balanced:1,2", "balanced:nan,2"))
-        out_json = tmp_path / "rate.json"
-        code = main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
-                     "--workers", "1"])
-        assert code == 2
-        assert not out_json.exists()
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    def test_nan_balanced_parameter_exits_2(self, refuse):
+        record = refuse("rate-study", RATE_CONFIG.replace("balanced:1,2", "balanced:nan,2"),
+                        "--workers", "1")
+        assert record["error"] == "ConfigError"
 
 
 ADAPTIVE_CONFIG = """
@@ -514,90 +445,42 @@ class TestAdaptiveCommand:
     @pytest.mark.parametrize(
         "line", ["adaptive_constant = nan", "adaptive_rho = nan"]
     )
-    def test_nan_ladder_parameter_exits_2(self, tmp_path, capsys, line):
-        cfg_path = tmp_path / "adapt.cfg"
-        cfg_path.write_text(ADAPTIVE_CONFIG.replace("adaptive_rho = 1.3", line))
-        out_csv = tmp_path / "selections.csv"
-        code = main(["adaptive", "--config", str(cfg_path), "--out-csv", str(out_csv),
-                     "--workers", "1"])
-        assert code == 2
-        assert not out_csv.exists()
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    def test_nan_ladder_parameter_exits_2(self, refuse, line):
+        record = refuse("adaptive", ADAPTIVE_CONFIG.replace("adaptive_rho = 1.3", line),
+                        "--workers", "1")
+        assert record["error"] == "ConfigError"
 
     @pytest.mark.parametrize("line,key", [("adaptive_rho = inf", "adaptive_rho"),
                                           ("adaptive_constant = inf", "adaptive_constant")])
-    def test_infinite_ladder_parameter_exits_2_before_any_cell(self, tmp_path, capsys,
-                                                               monkeypatch, line, key):
+    def test_infinite_ladder_parameter_exits_2_before_any_cell(self, refuse, line, key):
         # an infinite rho gives a two-rung ladder, an infinite constant
         # thresholds that never fire; both are refused before the first cell
-        def no_cell(*args, **kwargs):
-            raise AssertionError("a cell was run")
-
-        monkeypatch.setattr(harness, "adaptive_bandwidth", no_cell)
-        cfg_path = tmp_path / "adapt.cfg"
-        cfg_path.write_text(ADAPTIVE_CONFIG.replace("adaptive_rho = 1.3", line))
-        code = main(["adaptive", "--config", str(cfg_path), "--out-csv",
-                     str(tmp_path / "selections.csv"), "--workers", "1"])
-        assert code == 2
-        assert [p.name for p in tmp_path.iterdir()] == ["adapt.cfg"]
-        record = json.loads(capsys.readouterr().err)
+        record = refuse("adaptive", ADAPTIVE_CONFIG.replace("adaptive_rho = 1.3", line),
+                        "--workers", "1")
         assert record["error"] == "ConfigError"
         assert f"({key})" in record["message"] and record["message"].endswith("got inf")
 
-    def test_fixed_rule_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "adapt.cfg"
-        cfg_path.write_text(ADAPTIVE_CONFIG.replace(
-            "bandwidth = adaptive", "bandwidth = fixed:0.3\nfallback = error"))
-        out_csv = tmp_path / "selections.csv"
-        code = main(["adaptive", "--config", str(cfg_path), "--out-csv", str(out_csv),
-                     "--workers", "1"])
-        assert code == 2
-        assert not out_csv.exists()
-        assert json.loads(capsys.readouterr().err)["message"].startswith("bandwidth: ")
+    def test_fixed_rule_exits_2(self, refuse):
+        record = refuse("adaptive", ADAPTIVE_CONFIG.replace(
+            "bandwidth = adaptive", "bandwidth = fixed:0.3\nfallback = error"), "--workers", "1")
+        assert record["message"].startswith("bandwidth: ")
 
     @pytest.mark.parametrize(
         "order,error", [("0", "ConfigError"), ("500", "ValueError")]
     )
-    def test_unusable_hill_order_exits_2_before_any_rung(
-        self, tmp_path, capsys, monkeypatch, order, error
-    ):
-        # 0 fails at config parse; 500 exceeds the pilot's negative residuals
-        # (n = 120) and fails at the pilot, which runs before the ladder
-        import locfront.estimator as estimator
-
-        def no_fit(*args):
-            raise AssertionError("a rung was fitted")
-
-        monkeypatch.setattr(estimator, "fit_at", no_fit)
-        cfg_path = tmp_path / "adapt.cfg"
-        cfg_path.write_text(ADAPTIVE_CONFIG + f"adaptive_hill_order = {order}\n")
-        out_csv = tmp_path / "selections.csv"
-        code = main(["adaptive", "--config", str(cfg_path), "--out-csv", str(out_csv),
-                     "--workers", "1"])
-        assert code == 2
-        assert not out_csv.exists()
-        record = json.loads(capsys.readouterr().err)
+    def test_unusable_hill_order_exits_2_before_any_rung(self, refuse, order, error):
+        # 0 fails at config parse; 500 needs more pilot residuals than n = 120
+        # has and fails before the first cell
+        record = refuse("adaptive", ADAPTIVE_CONFIG + f"adaptive_hill_order = {order}\n",
+                        "--workers", "1")
         assert record["error"] == error
         assert "adaptive_hill_order" in record["message"]
 
-    def test_hill_order_above_a_small_n_exits_2_before_any_ladder(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_hill_order_above_a_small_n_exits_2_before_any_ladder(self, refuse):
         # order 40 suits n = 400 but reads 41 residuals, more than n = 30 has
-        ladders = []
-        monkeypatch.setattr(harness, "adaptive_bandwidth",
-                            lambda *args: ladders.append(args))
-        cfg_path = tmp_path / "adapt.cfg"
-        cfg_path.write_text("q = 2\nn = 400, 30\nbeta_star = 1\nreplications = 3\nseed = 5\n"
-                            "bandwidth = adaptive\nadaptive_grid = 3\n"
-                            "adaptive_hill_order = 40\n")
-        out_csv = tmp_path / "selections.csv"
-        code = main(["adaptive", "--config", str(cfg_path), "--out-csv", str(out_csv),
-                     "--workers", "1"])
-        assert code == 2
-        assert ladders == []
-        assert not out_csv.exists()
-        record = json.loads(capsys.readouterr().err)
+        record = refuse("adaptive", "q = 2\nn = 400, 30\nbeta_star = 1\nreplications = 3\n"
+                        "seed = 5\nbandwidth = adaptive\nadaptive_grid = 3\n"
+                        "adaptive_hill_order = 40\n", "--workers", "1")
         assert record == {"error": "ValueError", "message": (
             "hill_order (adaptive_hill_order) 40: needs 41 pilot residuals, more than n = 30")}
 
@@ -608,40 +491,20 @@ class TestWorkerCount:
 
     CONFIGS = {"simulate": SIM_CONFIG, "rate-study": RATE_CONFIG, "adaptive": ADAPTIVE_CONFIG}
 
-    @pytest.fixture
-    def run_study(self, tmp_path, monkeypatch, capsys):
-        def no_cell(*args):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr(harness, "_make_dataset", no_cell)
-
-        def run(command, *flags):
-            cfg_path = tmp_path / "study.cfg"
-            cfg_path.write_text(self.CONFIGS[command])
-            out = tmp_path / "out"
-            outs = {"simulate": ["--out-csv", str(out), "--out-json", str(out)],
-                    "rate-study": ["--out-json", str(out)],
-                    "adaptive": ["--out-csv", str(out)]}[command]
-            code = main([command, "--config", str(cfg_path), *outs, *flags])
-            assert not out.exists()
-            return code, json.loads(capsys.readouterr().err)
-
-        return run
-
     @pytest.mark.parametrize("command", ["simulate", "rate-study", "adaptive"])
     @pytest.mark.parametrize("value", ["0", "-5", "1.5", "two"])
-    def test_bad_flag(self, run_study, monkeypatch, command, value):
+    def test_bad_flag(self, refuse, monkeypatch, command, value):
         monkeypatch.delenv("LOCFRONT_WORKERS", raising=False)
-        assert run_study(command, "--workers", value) == (2, {
-            "error": "ConfigError", "message": f"--workers must be an integer >= 1, got '{value}'"})
+        assert refuse(command, self.CONFIGS[command], "--workers", value) == {
+            "error": "ConfigError", "message": f"--workers must be an integer >= 1, got '{value}'"}
 
     @pytest.mark.parametrize("command", ["simulate", "rate-study", "adaptive"])
     @pytest.mark.parametrize("value", ["0", "-5", "two"])
-    def test_bad_environment(self, run_study, monkeypatch, command, value):
+    def test_bad_environment(self, refuse, monkeypatch, command, value):
         monkeypatch.setenv("LOCFRONT_WORKERS", value)
-        assert run_study(command) == (2, {
+        assert refuse(command, self.CONFIGS[command]) == {
             "error": "ConfigError",
-            "message": f"LOCFRONT_WORKERS must be an integer >= 1, got '{value}'"})
+            "message": f"LOCFRONT_WORKERS must be an integer >= 1, got '{value}'"}
 
     def test_flag_overrides_a_bad_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOCFRONT_WORKERS", "0")

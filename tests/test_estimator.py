@@ -22,6 +22,8 @@ from locfront.estimator import (
 )
 from locfront.windows import contains_mask, objective_vector, window_rows
 
+from oracles import count_calls
+
 
 def sine_dataset(rng, n, q=1):
     pts = rng.uniform(0, 1, (n, q))
@@ -94,15 +96,7 @@ class TestDegreeZero:
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        calls = []
-        solve = lp.solve
-
-        def recording(prob, start=None):
-            calls.append((prob.shape[1], start))
-            return solve(prob, start=start)
-
-        monkeypatch.setattr(lp, "solve", recording)
-        return calls
+        return count_calls(monkeypatch, "locfront.lp", "solve")
 
     @pytest.mark.parametrize("ds,beta_star,status", CASES,
                              ids=["spread-beta0", "stacked-beta0", "stacked-beta2"])
@@ -116,8 +110,8 @@ class TestDegreeZero:
         assert fit.coeffs.coeffs.tolist() == [1.0]
         npt.assert_array_equal(fit.active_rows, [2])
         # degree 0 solves nothing, so the one-row start reaches no LP
-        assert [p for p, _ in solves] == list(range(beta_star + 1, 1, -1))
-        assert all(start is None for _, start in solves)
+        assert [call["prob"].shape[1] for call in solves] == list(range(beta_star + 1, 1, -1))
+        assert all(call["start"] is None for call in solves)
 
     def test_active_row_is_the_first_row_at_the_maximum(self, solves):
         # rows 2 and 3 tie exactly at the maximum; one covariate value again
@@ -126,7 +120,23 @@ class TestDegreeZero:
             fit = fit_at(ds, [0.5], EstimatorConfig(beta_star=beta_star, h=0.1))
             assert fit.effective_degree == 0
             npt.assert_array_equal(fit.active_rows, [2])
-        assert [p for p, _ in solves] == [4, 3, 2]
+        assert [call["prob"].shape[1] for call in solves] == [4, 3, 2]
+
+    def test_only_an_lp_fit_builds_the_design_and_objective(self, monkeypatch):
+        built = [count_calls(monkeypatch, module, name) for module, name in (
+            ("locfront.basis", "vandermonde"), ("locfront.windows", "objective_vector"),
+            ("locfront.windows", "clip_window"))]
+        cfg = EstimatorConfig(beta_star=0, h=0.05, empty_window="expand")
+        fit_at(self.SPREAD, [0.5], cfg)
+        fit_grid(self.SPREAD, [[0.1], [0.5], [0.7]], cfg)
+        assert built == [[], [], []]
+        # the window around 0.1 grows five times, to hold row 1 at 0.4, and
+        # its one point leaves degree 1 unbounded: one build serves both degrees
+        fit = fit_at(self.SPREAD, [0.1], EstimatorConfig(1, 0.05, empty_window="expand"))
+        assert (fit.status, fit.effective_degree) == ("degraded", 0)
+        assert fit.effective_bandwidth == pytest.approx(0.05 * 1.5**5)
+        assert [len(calls) for calls in built] == [1, 1, 1]
+        assert built[2][0]["h"] == fit.effective_bandwidth
 
 
 class TestFitLocalConstant:

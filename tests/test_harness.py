@@ -437,13 +437,18 @@ class TestRuleChecks:
          (lambda: run_adaptive(small_center_spec(bandwidth=BandwidthRule("adaptive")),
                                AdaptiveConfig(grid=[[0.5, 0.5]]), workers=1),
           "^adaptive runs use one beta_star at a time$"),
+         (lambda: run_adaptive(small_center_spec(beta_star_list=(1,),
+                                                 bandwidth=BandwidthRule("adaptive")),
+                               AdaptiveConfig(grid=[[0.5]]), workers=1),
+          r"^grid has dimension 1, expected q = 2$"),
          (lambda: build_experiment_spec({**REQUIRED, "n": "50, x"}),
           "^n: expected comma-separated integers, got '50, x'$"),
          (lambda: build_experiment_spec({**REQUIRED, "bandwidth": "fixed:x"}),
           "^bandwidth: expected a fixed h, got 'x'$"),
          (lambda: build_adaptive_config({"adaptive_grid": "0"}, 1),
           "^adaptive_grid: expected an integer grid size of at least 1 point per axis, got '0'$")],
-        ids=["no-beta-star", "grid-0", "decreasing-n", "two-beta-stars", "non-integer-n",
+        ids=["no-beta-star", "grid-0", "decreasing-n", "two-beta-stars", "grid-dimension",
+             "non-integer-n",
              "non-numeric-fixed-h", "adaptive-grid-0"],
     )
     def test_refused_before_any_cell(self, make, match):

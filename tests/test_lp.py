@@ -22,27 +22,10 @@ from oracles import (
     enumerate_vertices_oracle,
     highs_has_certificate,
     highs_reference,
+    random_lp,
     reset_pivot,
     scale_relative_error,
 )
-
-
-def random_instance(rng, p=None, m=None):
-    """Random dense instance; v comes from a real window integral vector."""
-    if p is None:
-        q = int(rng.integers(1, 4))
-        max_deg = {1: 5, 2: 2, 3: 1}[q]
-        deg = int(rng.integers(0, max_deg + 1))
-        basis = enumerate_basis(q, deg)
-        v = objective_vector(rng.uniform(0, 1, q), rng.uniform(0.05, 0.8), basis)
-        p = len(basis)
-    else:
-        v = rng.uniform(-1, 1, p)
-    if m is None:
-        m = int(rng.integers(p, 11))
-    A = rng.uniform(-1, 1, (m, p))
-    y = rng.uniform(-1, 1, m)
-    return LpProblem(v, A, y)
 
 
 class TestSolveExamples:
@@ -202,7 +185,7 @@ class TestRandomInstanceProperties:
         rng = np.random.default_rng(20)
         optimal = 0
         for _ in range(300):
-            prob = random_instance(rng)
+            prob = random_lp(rng)
             out = solve(prob)
             if isinstance(out, Optimal):
                 optimal += 1
@@ -215,7 +198,7 @@ class TestRandomInstanceProperties:
         rng = np.random.default_rng(21)
         checked = 0
         for _ in range(400):
-            prob = random_instance(rng)
+            prob = random_lp(rng)
             out = solve(prob)
             if not isinstance(out, Optimal):
                 continue
@@ -288,7 +271,7 @@ class TestAgainstHighs:
         # an Unbounded verdict carries no certificate, so HiGHS checks it
         rng = np.random.default_rng(24)
         for _ in range(300):
-            prob = random_instance(rng)
+            prob = random_lp(rng)
             out = solve(prob)
             assert isinstance(out, Unbounded) == (not highs_has_certificate(prob))
             assert type(out).__name__.lower() == highs_reference(prob)[0]

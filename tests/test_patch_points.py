@@ -1,7 +1,9 @@
 """The benchmark traces the package by patching module-level functions.
 
 ``benchmarks/run.py`` lists them in ``LAYER_NAMES``, counts window queries
-through ``windows.contains_mask`` and fits through ``estimator.fit_at``; a
+through ``windows.contains_mask`` and fits through ``estimator.fit_at``. A fit
+that solves an LP calls ``vandermonde``, ``objective_vector`` and
+``clip_window`` once each, and a fit asked for degree 0 calls none of them; a
 refactor that moves one of these names or changes how often it is called
 fails here.
 """
@@ -10,16 +12,17 @@ import ast
 import importlib
 import inspect
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from locfront import estimator, windows
+from locfront import estimator
 from locfront.bandwidth import AdaptiveConfig, adaptive_bandwidth
 from locfront.estimator import Dataset, EstimatorConfig, fit_at
 from locfront.harness import BandwidthRule, ExperimentSpec, evaluation_grid, run_mse, run_rate_study
+
+from oracles import count_calls
 
 RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
 
@@ -42,46 +45,27 @@ MASK_LIMIT = 10
 
 @pytest.fixture
 def mask_calls(monkeypatch):
-    """Bandwidth of each window ``contains_mask`` is called for; a fit that
-    queries more than ``MASK_LIMIT`` windows fails instead of looping on."""
-    calls = []
-    contains_mask = windows.contains_mask
-
-    def counting(points, x, h):
-        calls.append(h)
-        if len(calls) > MASK_LIMIT:
-            raise AssertionError(f"{len(calls)} window queries in one test")
-        return contains_mask(points, x, h)
-
-    monkeypatch.setattr(windows, "contains_mask", counting)
-    return calls
-
-
-@pytest.fixture
-def clip_calls(monkeypatch):
-    """Bandwidth of each ``clip_window`` call."""
-    calls = []
-    clip_window = windows.clip_window
-
-    def counting(x, h):
-        calls.append(h)
-        return clip_window(x, h)
-
-    monkeypatch.setattr(windows, "clip_window", counting)
-    return calls
+    """Each window ``contains_mask`` is called for; a fit that queries more
+    than ``MASK_LIMIT`` windows fails instead of looping on."""
+    return count_calls(monkeypatch, "locfront.windows", "contains_mask", limit=MASK_LIMIT)
 
 
 class TestOneMaskPerWindow:
+    """One ``contains_mask`` call per window queried. A fit asked for degree 0
+    solves no LP, so it builds no objective and never calls ``clip_window``."""
+
     DATA = Dataset(np.array([[0.5, 0.5], [0.9, 0.9]]), np.array([1.0, 2.0]))
     CFG = EstimatorConfig(beta_star=0, h=0.1, empty_window="expand")
 
-    def test_window_with_data(self, mask_calls, clip_calls):
+    def test_window_with_data(self, monkeypatch, mask_calls):
+        clips = count_calls(monkeypatch, "locfront.windows", "clip_window")
         fit = fit_at(self.DATA, np.array([0.5, 0.5]), self.CFG)
         assert fit.status == "exact"
-        assert mask_calls == [0.1]
-        assert clip_calls == [0.1]
+        assert [call["h"] for call in mask_calls] == [0.1]
+        assert clips == []
 
-    def test_expanded_window(self, mask_calls, clip_calls):
+    def test_expanded_window(self, monkeypatch, mask_calls):
+        clips = count_calls(monkeypatch, "locfront.windows", "clip_window")
         # the nearest point is 0.4 away in max-norm, so the window grows
         # 0.1 -> 0.15 -> 0.225 -> 0.3375 -> 0.50625: k = 4 expansions
         fit = fit_at(self.DATA, np.array([0.1, 0.1]), self.CFG)
@@ -90,10 +74,9 @@ class TestOneMaskPerWindow:
             expected.append(expected[-1] * 1.5)
         assert fit.status == "expanded"
         assert len(expected) == 5
-        assert mask_calls == expected
+        assert [call["h"] for call in mask_calls] == expected
         assert fit.effective_bandwidth == expected[-1]
-        # the objective is built once, for the final window
-        assert clip_calls == [expected[-1]]
+        assert clips == []
 
     @pytest.mark.parametrize("point", [[float("nan"), 0.5], [1.2, 0.5], [-0.1, 0.5]],
                              ids=["nan", "above-1", "below-0"])
@@ -108,15 +91,8 @@ class TestOneMaskPerWindow:
 
 @pytest.fixture
 def fit_calls(monkeypatch):
-    """Bandwidth of each ``estimator.fit_at`` call, the name the benchmark traces."""
-    calls = []
-
-    def counting(data, x, cfg, start=None):
-        calls.append(cfg.h)
-        return fit_at(data, x, cfg, start=start)
-
-    monkeypatch.setattr(estimator, "fit_at", counting)
-    return calls
+    """Each ``estimator.fit_at`` call, the name the benchmark traces."""
+    return count_calls(monkeypatch, "locfront.estimator", "fit_at")
 
 
 class TestOneFitPerGridPoint:
@@ -141,7 +117,8 @@ class TestOneFitPerGridPoint:
         points = rng.uniform(size=(150, 2))
         data = Dataset(points, points.sum(axis=1) - rng.exponential(size=150))
         result = adaptive_bandwidth(data, 1, AdaptiveConfig(grid=evaluation_grid(2, 3)))
-        assert fit_calls == [float(h) for h in result.bandwidths for _ in range(9)]
+        assert [call["cfg"].h for call in fit_calls] == [
+            float(h) for h in result.bandwidths for _ in range(9)]
 
 
 def test_only_the_estimator_calls_fit_at():
@@ -155,64 +132,43 @@ def test_only_the_estimator_calls_fit_at():
     assert callers == {"estimator.py"}
 
 
-def count_calls(monkeypatch, module, attr):
-    """Patch ``attr`` in every ``locfront`` module that binds the function, as
-    the benchmark's tracer does, and return the list each call appends to."""
-    calls = []
-    original = getattr(importlib.import_module(module), attr)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "locfront" and getattr(mod, attr, None) is original:
-            monkeypatch.setattr(mod, attr, counting)
-    return calls
-
-
 class TestOneCallPerLayerPerFit:
-    """Every fit reaches the traced layers once each: one ``basis.vandermonde``
-    and one ``windows.objective_vector`` call, and one ``lp.solve`` per degree
-    >= 1 tried, so a degree retry is one more solve and nothing else. Degree 0
-    is the window maximum and solves no LP."""
+    """Every fit that solves an LP, one asked for degree >= 1, reaches the
+    traced layers once each: one ``basis.vandermonde``, one
+    ``windows.objective_vector`` and one ``windows.clip_window`` call, and one
+    ``lp.solve`` per degree >= 1 tried, so a degree retry is one more solve
+    and nothing else. Degree 0 is the window maximum: a fit asked for it
+    reaches none of these layers, and a retry down to it solves no LP."""
 
     @pytest.fixture
     def layers(self, monkeypatch):
-        fits = []
+        return {name: count_calls(monkeypatch, module, name) for module, name in (
+            ("locfront.estimator", "fit_at"), ("locfront.lp", "solve"),
+            ("locfront.basis", "vandermonde"), ("locfront.windows", "objective_vector"),
+            ("locfront.windows", "clip_window"))}
 
-        def recording(data, x, cfg, start=None):
-            fit = fit_at(data, x, cfg, start=start)
-            fits.append((cfg.beta_star, fit.effective_degree))
-            return fit
-
-        counts = {name: count_calls(monkeypatch, module, name) for module, name in (
-            ("locfront.lp", "solve"), ("locfront.basis", "vandermonde"),
-            ("locfront.windows", "objective_vector"))}
-        monkeypatch.setattr(estimator, "fit_at", recording)
-        return fits, counts
-
-    def check(self, fits, counts):
-        assert len(counts["vandermonde"]) == len(fits)
-        assert len(counts["objective_vector"]) == len(fits)
-        assert len(counts["solve"]) == sum(asked - max(used, 1) + 1 for asked, used in fits)
+    def check(self, layers):
+        fits = [(call["cfg"].beta_star, call["result"].effective_degree)
+                for call in layers["fit_at"]]
+        lp_fits = sum(asked >= 1 for asked, _ in fits)
+        for name in ("vandermonde", "objective_vector", "clip_window"):
+            assert len(layers[name]) == lp_fits
+        assert len(layers["solve"]) == sum(asked - max(used, 1) + 1 for asked, used in fits)
+        return fits
 
     def test_degree_retries(self, layers):
         # two points: degree 2 (six coefficients) is unbounded, degree 1 is not
-        fits, counts = layers
         data = Dataset(np.array([[0.5, 0.5], [0.9, 0.9]]), np.array([1.0, 2.0]))
         estimator.fit_at(data, np.array([0.5, 0.5]), EstimatorConfig(beta_star=2, h=0.5))
-        assert fits == [(2, 1)]
-        self.check(fits, counts)
-        assert len(counts["solve"]) == 2
+        assert self.check(layers) == [(2, 1)]
+        assert len(layers["solve"]) == 2
 
     def test_ladder(self, layers):
-        fits, counts = layers
         rng = np.random.default_rng(4)
         points = rng.uniform(size=(150, 2))
         data = Dataset(points, points.sum(axis=1) - rng.exponential(size=150))
         adaptive_bandwidth(data, 2, AdaptiveConfig(grid=evaluation_grid(2, 3)))
+        fits = self.check(layers)
         # the ladder retried some degrees, some down to 0
         assert any(used < asked for asked, used in fits)
         assert any(used == 0 for _, used in fits)
-        self.check(fits, counts)
