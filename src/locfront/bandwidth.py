@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import Dataset, EstimatorConfig, _whole, fit_grid, fit_local_constant
-from .windows import check_centers
+from .synthetic import evaluation_grid
 
 # every rung's fit policies: no rung fails for want of data or of boundedness
 LADDER_POLICIES = {"fallback": "degrade_degree", "empty_window": "expand"}
@@ -67,10 +67,12 @@ def hill_tail_index(residuals, k: int) -> float:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Knobs of the ladder selection rule.
+    """Knobs of the ladder selection rule, a plain value that pickles, copies,
+    compares and hashes by its fields.
 
-    ``grid`` is the evaluation grid the fits are compared on, a read-only copy
-    of shape (n_grid, q) with every point in the unit cube. The threshold of ladder index k is
+    The fits are compared on ``evaluation_grid(q, grid_points_per_axis)`` in
+    the data's dimension q; the size (config key ``adaptive_grid``) is an
+    integer >= 1 by ``_whole``. The threshold of ladder index k is
     ``threshold_constant * (log n / (n h_k^q))**(1/alpha_hat)`` with alpha_hat
     from ``hill_tail_index`` on local-constant pilot residuals. ``hill_order``
     (config key ``adaptive_hill_order``) fixes its order count k >= 1 by
@@ -78,7 +80,7 @@ class AdaptiveConfig:
     fails before any rung is fitted.
     """
 
-    grid: np.ndarray
+    grid_points_per_axis: int = 25
     s: float = 0.5
     rho: float = 1.25
     threshold_constant: float = 1.0
@@ -90,15 +92,11 @@ class AdaptiveConfig:
                                      ("threshold_constant", "adaptive_constant", 0.0, math.inf)):
             if not low < (value := getattr(self, name)) < high:
                 raise ValueError(f"{name} ({key}) must be in ({low:g}, {high:g}), got {value}")
-        grid = np.array(np.atleast_2d(self.grid), dtype=float)  # a copy, made read-only
-        if grid.shape[0] < 1:
-            raise ValueError("evaluation grid must be nonempty")
-        check_centers(grid, 1.0)  # any positive h: only the points are checked here
-        grid.setflags(write=False)
+        object.__setattr__(self, "grid_points_per_axis", _whole(
+            self.grid_points_per_axis, "grid_points_per_axis (adaptive_grid)", 1))
         if self.hill_order is not None:
             object.__setattr__(self, "hill_order",
                                _whole(self.hill_order, "hill_order (adaptive_hill_order)", 1))
-        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,7 @@ def _pilot_alpha(data: Dataset, cfg: AdaptiveConfig) -> float:
 def adaptive_bandwidth(
     data: Dataset, beta_star: int, cfg: AdaptiveConfig
 ) -> AdaptiveResult:
-    """Run the full ladder: fit at every rung, threshold, select.
+    """Run the full ladder: fit every rung on the config's lattice in q, threshold, select.
 
     The ladder is h_k = n**(s-1) * rho**k for k = 0..K+1 with
     K = floor(log_rho(n**(1-s))), each capped at 1 before fitting. Fits use
@@ -190,12 +188,13 @@ def adaptive_bandwidth(
 
     # the pilot needs no rung, so a Hill order the data cannot support fails first
     alpha_hat = _pilot_alpha(data, cfg)
-    estimates = np.empty((K + 2, cfg.grid.shape[0]))
+    grid = evaluation_grid(data.q, cfg.grid_points_per_axis)
+    estimates = np.empty((K + 2, grid.shape[0]))
     starts = None
     for k in range(K + 2):
         fit_cfg = EstimatorConfig(beta_star=beta_star, h=float(capped[k]), **LADDER_POLICIES)
         try:
-            fits = fit_grid(data, cfg.grid, fit_cfg, starts)
+            fits = fit_grid(data, grid, fit_cfg, starts)
             estimates[k] = [fit.value for fit in fits]
             starts = [fit.active_rows for fit in fits]
         except (ValueError, RuntimeError) as err:

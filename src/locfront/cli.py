@@ -199,7 +199,7 @@ def _cmd_rate_study(args) -> int:
 def _cmd_adaptive(args) -> int:
     cfg = _read_config(args.config)
     spec = harness.build_experiment_spec(cfg)
-    adaptive_cfg = harness.build_adaptive_config(cfg, spec.q)
+    adaptive_cfg = harness.build_adaptive_config(cfg)
     runs = harness.run_adaptive(spec, adaptive_cfg, workers=args.workers)
     harness.write_adaptive_csv(runs, args.out_csv)
     if args.diagnostics_dir:

@@ -40,8 +40,8 @@ from .synthetic import (
     ErrorSpec,
     ModelSpec,
     eval_boundary,
+    evaluation_grid,
     gen_design,
-    lattice,
     make_sample,
     sample_errors,
 )
@@ -139,7 +139,6 @@ class ExperimentSpec:
 class CellResult:
     mse: float
     mc_stderr: float
-    replications: int
     n_exact: int
     n_degraded: int
     n_expanded: int
@@ -152,13 +151,9 @@ class ResultTable:
     cells: dict[tuple[int, int], CellResult]
 
     def rows(self) -> list[dict]:
-        """One dict per cell in key order: beta_star, n, then the cell's fields
-        but its replication count."""
-        return [
-            {"beta_star": b, "n": n,
-             **{k: v for k, v in asdict(self.cells[(b, n)]).items() if k != "replications"}}
-            for b, n in sorted(self.cells)
-        ]
+        """One dict per cell in key order: beta_star, n, then the cell's fields."""
+        return [{"beta_star": b, "n": n, **asdict(self.cells[(b, n)])}
+                for b, n in sorted(self.cells)]
 
 
 def worker_count(raw, source: str) -> int:
@@ -183,20 +178,6 @@ def _make_dataset(spec: ExperimentSpec, beta_star: int, n: int, r: int) -> Datas
     points = gen_design(design, rng)
     errors = sample_errors(spec.error, n, rng)
     return make_sample(points, spec.model, errors)
-
-
-def evaluation_grid(q: int, points_per_axis: int) -> np.ndarray:
-    """Equidistant lattice on [0,1]^q including the boundary, (N^q, q).
-
-    A single point per axis collapses to the cube center, so a one-point grid
-    evaluation coincides with the center-point evaluation. The size is read
-    by ``_whole``: one that is not an integer >= 1 (such as ``0`` or ``2.5``)
-    raises ValueError.
-    """
-    size = _whole(points_per_axis, "grid points per axis", 1)
-    if size == 1:
-        return np.full((1, q), 0.5)
-    return lattice(np.linspace(0.0, 1.0, size), q)
 
 
 _STATUS_RANK = {"exact": 0, "expanded": 1, "degraded": 2}
@@ -265,7 +246,6 @@ def _aggregate(results: list[tuple[np.ndarray, str]]) -> CellResult:
     return CellResult(
         mse=float(values.mean()),
         mc_stderr=stderr,
-        replications=len(results),
         n_exact=statuses.count("exact"),
         n_degraded=statuses.count("degraded"),
         n_expanded=statuses.count("expanded"),
@@ -359,9 +339,10 @@ class AdaptiveRun:
 def run_adaptive(
     spec: ExperimentSpec, cfg: AdaptiveConfig, workers: int | None = None
 ) -> list[AdaptiveRun]:
-    """Ladder-selected bandwidth and diagnostics for every replication; the spec must hold
-    the adaptive rule and the ladder's ``LADDER_POLICIES``, and a grid not of dimension q or
-    a ``cfg.hill_order`` above n - 1 for any n is refused before any cell."""
+    """Ladder-selected bandwidth and diagnostics for every replication, each ladder compared
+    on the q-dimensional lattice of ``cfg.grid_points_per_axis``; the spec must hold the
+    adaptive rule and the ladder's ``LADDER_POLICIES``, and a ``cfg.hill_order`` above
+    n - 1 for any n is refused before any cell."""
     if len(spec.beta_star_list) != 1:
         raise ValueError("adaptive runs use one beta_star at a time")
     if spec.bandwidth.kind != "adaptive":
@@ -369,8 +350,6 @@ def run_adaptive(
     for key, value in LADDER_POLICIES.items():
         if getattr(spec, key) != value:
             raise ValueError(f"{key}: adaptive runs use {value!r}, got {getattr(spec, key)!r}")
-    if cfg.grid.shape[1] != spec.q:
-        raise ValueError(f"grid has dimension {cfg.grid.shape[1]}, expected q = {spec.q}")
     for n in spec.n_list:
         # a Hill estimate of order k reads k + 1 negative residuals of the n
         if cfg.hill_order is not None and cfg.hill_order > n - 1:
@@ -527,12 +506,12 @@ _SPEC_PARSERS = {"design": str, "error": _parse_error, "model": ModelSpec,
                  "bandwidth": _parse_bandwidth, "fallback": str, "empty_window": str}
 _ADAPTIVE_KNOBS = {"adaptive_s": ("s", config_float), "adaptive_rho": ("rho", config_float),
                    "adaptive_constant": ("threshold_constant", config_float),
-                   "adaptive_hill_order": ("hill_order", config_int)}
+                   "adaptive_hill_order": ("hill_order", config_int),
+                   "adaptive_grid": ("grid_points_per_axis", config_int)}
 _REQUIRED = ("q", "n", "beta_star", "replications", "seed")
-# every key parse_config accepts; evaluation, rate_grid and adaptive_grid
-# have parsers of their own
-_CONFIG_KEYS = {*_REQUIRED, *_SPEC_PARSERS, *_ADAPTIVE_KNOBS,
-                "evaluation", "rate_grid", "adaptive_grid"}
+# every key parse_config accepts; evaluation and rate_grid have parsers of
+# their own
+_CONFIG_KEYS = {*_REQUIRED, *_SPEC_PARSERS, *_ADAPTIVE_KNOBS, "evaluation", "rate_grid"}
 
 
 def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
@@ -556,12 +535,10 @@ def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:
         raise ConfigError(str(err)) from err
 
 
-def build_adaptive_config(cfg: dict[str, str], q: int) -> AdaptiveConfig:
-    """AdaptiveConfig from the adaptive_* keys (grid defaults to 25 points per axis)."""
-    grid = _read(lambda text: evaluation_grid(q, int(text)), cfg.get("adaptive_grid", "25"),
-                 "adaptive_grid", "an integer grid size of at least 1 point per axis")
+def build_adaptive_config(cfg: dict[str, str]) -> AdaptiveConfig:
+    """AdaptiveConfig from the adaptive_* keys."""
     knobs = {name: read(cfg, key) for key, (name, read) in _ADAPTIVE_KNOBS.items() if key in cfg}
     try:
-        return AdaptiveConfig(grid=grid, **knobs)
+        return AdaptiveConfig(**knobs)
     except ValueError as err:
         raise ConfigError(str(err)) from err

@@ -87,6 +87,20 @@ def lattice(axis: np.ndarray, q: int) -> np.ndarray:
     return np.stack([g.ravel(order="F") for g in mesh], axis=1)
 
 
+def evaluation_grid(q: int, points_per_axis: int) -> np.ndarray:
+    """Equidistant lattice on [0,1]^q including the boundary, (N^q, q).
+
+    A single point per axis collapses to the cube center, so a one-point grid
+    evaluation coincides with the center-point evaluation. The size is read
+    by ``_whole``: one that is not an integer >= 1 (such as ``0`` or ``2.5``)
+    raises ValueError.
+    """
+    size = _whole(points_per_axis, "grid points per axis", 1)
+    if size == 1:
+        return np.full((1, q), 0.5)
+    return lattice(np.linspace(0.0, 1.0, size), q)
+
+
 def gen_design(spec: DesignSpec, rng: np.random.Generator | None = None) -> np.ndarray:
     """Design points as an (n, q) array.
 

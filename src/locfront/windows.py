@@ -82,7 +82,6 @@ def contains_mask(points: np.ndarray, x, h: float) -> np.ndarray:
 
 
 _SLAB_PAD = 4.0 * np.finfo(float).eps  # slab widening per unit of |c0| + h
-_FILL_ROWS = 4096  # rows gathered at a time while building a WindowIndex
 _BLOCK_CELLS = 1 << 16  # (centre, slab row) pairs per block of window_maxima
 
 
@@ -104,10 +103,7 @@ class WindowIndex:
 
     def __post_init__(self):
         order = np.argsort(self.points[:, 0])
-        coords = np.empty(self.points.shape[::-1])
-        # filled in blocks of rows, so the build needs no n-long scratch array
-        for k in range(0, order.size, _FILL_ROWS):
-            coords[:, k:k + _FILL_ROWS] = self.points[order[k:k + _FILL_ROWS]].T
+        coords = self.points.T.take(order, axis=1)
         order.setflags(write=False)
         coords.setflags(write=False)
         object.__setattr__(self, "order", order)

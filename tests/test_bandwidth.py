@@ -1,5 +1,6 @@
+import copy
 import math
-import re
+import pickle
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from locfront.bandwidth import (
     simulation_bandwidth,
 )
 from locfront.estimator import EstimatorConfig, fit_grid
-from locfront.harness import evaluation_grid
-from locfront.synthetic import ErrorSpec, ModelSpec, gen_design, make_sample, sample_errors
+from locfront.synthetic import ErrorSpec, ModelSpec, evaluation_grid, gen_design, make_sample
+from locfront.synthetic import sample_errors
 from locfront.synthetic import DesignSpec
 
 from oracles import brute_force_ladder_index, brute_force_pilot_alpha
@@ -149,12 +150,9 @@ def sine_data(n, seed, q=1):
 
 
 class TestAdaptiveBandwidth:
-    def grid(self, m=15):
-        return np.linspace(0.05, 0.95, m)[:, None]
-
     def test_ladder_shape_and_caps(self):
         data = sine_data(400, seed=1)
-        cfg = AdaptiveConfig(grid=self.grid(), s=0.5, rho=1.25)
+        cfg = AdaptiveConfig(grid_points_per_axis=15, s=0.5, rho=1.25)
         res = adaptive_bandwidth(data, 1, cfg)
         K = res.bandwidths.shape[0] - 2
         expected_K = math.floor(0.5 * math.log(400) / math.log(1.25))
@@ -166,7 +164,7 @@ class TestAdaptiveBandwidth:
 
     def test_selected_within_ladder_and_deterministic(self):
         data = sine_data(300, seed=2)
-        cfg = AdaptiveConfig(grid=self.grid(), s=0.5, rho=1.25, threshold_constant=1.0)
+        cfg = AdaptiveConfig(grid_points_per_axis=15, s=0.5, rho=1.25, threshold_constant=1.0)
         res1 = adaptive_bandwidth(data, 1, cfg)
         res2 = adaptive_bandwidth(data, 1, cfg)
         assert res1.k_hat == res2.k_hat
@@ -178,14 +176,14 @@ class TestAdaptiveBandwidth:
 
     def test_unreachable_thresholds_select_top_rung(self):
         data = sine_data(200, seed=3)
-        cfg = AdaptiveConfig(grid=self.grid(7), threshold_constant=1e300)
+        cfg = AdaptiveConfig(grid_points_per_axis=7, threshold_constant=1e300)
         res = adaptive_bandwidth(data, 0, cfg)
         assert res.k_hat == res.bandwidths.shape[0] - 2
         assert res.trigger is None
 
     def test_zero_thresholds_select_bottom(self):
         data = sine_data(200, seed=4)
-        cfg = AdaptiveConfig(grid=self.grid(7), threshold_constant=1e-300)
+        cfg = AdaptiveConfig(grid_points_per_axis=7, threshold_constant=1e-300)
         res = adaptive_bandwidth(data, 0, cfg)
         # consecutive local-constant fits differ somewhere on the grid
         assert res.k_hat == 0
@@ -193,7 +191,7 @@ class TestAdaptiveBandwidth:
 
     def test_diagnostics_rows(self):
         data = sine_data(150, seed=5)
-        cfg = AdaptiveConfig(grid=self.grid(5))
+        cfg = AdaptiveConfig(grid_points_per_axis=5)
         res = adaptive_bandwidth(data, 0, cfg)
         rows = res.diagnostics_rows()
         assert len(rows) == res.bandwidths.shape[0]
@@ -204,40 +202,38 @@ class TestAdaptiveBandwidth:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            AdaptiveConfig(grid=self.grid(), s=1.0)
+            AdaptiveConfig(s=1.0)
         with pytest.raises(ValueError):
-            AdaptiveConfig(grid=self.grid(), rho=1.0)
+            AdaptiveConfig(rho=1.0)
         with pytest.raises(ValueError):
-            AdaptiveConfig(grid=self.grid(), rho=float("nan"))
+            AdaptiveConfig(rho=float("nan"))
         with pytest.raises(ValueError):
-            AdaptiveConfig(grid=self.grid(), threshold_constant=float("nan"))
+            AdaptiveConfig(threshold_constant=float("nan"))
         for key, kwargs in (("adaptive_rho", {"rho": math.inf}),
                             ("adaptive_constant", {"threshold_constant": math.inf}),
                             ("adaptive_s", {"s": math.inf})):
             with pytest.raises(ValueError, match=rf"\({key}\) must be in \(.*, got inf$"):
-                AdaptiveConfig(grid=self.grid(), **kwargs)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(grid=np.empty((0, 1)))
-        for point in ([2.0, 0.5], [math.nan, 0.5], [0.5, math.inf]):
-            with pytest.raises(ValueError, match=re.escape(f"window center {point} outside")):
-                AdaptiveConfig(grid=[[0.5, 0.5], point])
+                AdaptiveConfig(**kwargs)
+        with pytest.raises(ValueError, match="adaptive_grid"):
+            AdaptiveConfig(grid_points_per_axis=0)
         for order in (0, -2):
             with pytest.raises(ValueError, match="adaptive_hill_order"):
-                AdaptiveConfig(grid=self.grid(), hill_order=order)
+                AdaptiveConfig(hill_order=order)
 
-    def test_grid_of_another_dimension_fails_at_the_first_rung(self):
-        # fit_at's shape check refuses it, with the rung and the point named
-        message = r"^ladder rung k=0 \(h=.*\): grid point 0 at \[0.5, 0.5\]: .*expected \(1,\)$"
-        with pytest.raises(ValueError, match=message):
-            adaptive_bandwidth(sine_data(60, seed=3), 1, AdaptiveConfig(grid=[[0.5, 0.5]]))
+    def test_config_is_a_plain_value(self):
+        # it reaches every run_adaptive worker by pickling, so a copy must
+        # equal the original, field for field
+        cfg = AdaptiveConfig(grid_points_per_axis=7, s=0.4, hill_order=12)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert copy.deepcopy(cfg) == cfg
+        assert hash(cfg) == hash(AdaptiveConfig(grid_points_per_axis=7, s=0.4, hill_order=12))
+        assert cfg != AdaptiveConfig(grid_points_per_axis=8, s=0.4, hill_order=12)
 
-    def test_config_keeps_a_read_only_copy_of_its_grid(self):
-        grid = self.grid()
-        cfg = AdaptiveConfig(grid=grid)
-        grid[0, 0] = 0.9
-        assert cfg.grid[0, 0] == 0.05
-        with pytest.raises(ValueError, match="read-only"):
-            cfg.grid[0, 0] = 0.9
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_ladder_is_compared_on_the_lattice_of_the_data_dimension(self, q):
+        res = adaptive_bandwidth(sine_data(60, seed=3, q=q), 1,
+                                 AdaptiveConfig(grid_points_per_axis=3))
+        assert res.grid_estimates.shape == (res.bandwidths.shape[0], 3 ** q)
 
     @pytest.mark.parametrize(
         "q,n,seed,order", [(1, 60, 11, None), (1, 300, 12, 5), (2, 250, 13, None),
@@ -245,7 +241,7 @@ class TestAdaptiveBandwidth:
     )
     def test_pilot_matches_brute_force(self, q, n, seed, order):
         data = sine_data(n, seed=seed, q=q)
-        cfg = AdaptiveConfig(grid=np.full((1, q), 0.5), hill_order=order)
+        cfg = AdaptiveConfig(grid_points_per_axis=1, hill_order=order)
         expected = brute_force_pilot_alpha(data.points, data.responses, order)
         assert _pilot_alpha(data, cfg) == pytest.approx(expected, rel=1e-12)
 
@@ -258,17 +254,16 @@ class TestAdaptiveBandwidth:
             raise AssertionError("a rung was fitted")
 
         monkeypatch.setattr(estimator, "fit_at", no_fit)
-        cfg = AdaptiveConfig(grid=self.grid(), hill_order=119)
+        cfg = AdaptiveConfig(grid_points_per_axis=15, hill_order=119)
         with pytest.raises(ValueError, match="adaptive_hill_order"):
             adaptive_bandwidth(data, 1, cfg)
 
     @pytest.mark.parametrize(
-        "q,n,seed,beta_star,s,grid",
-        [(1, 40, 21, 1, 0.05, np.linspace(0.0, 1.0, 21)[:, None]),
-         (2, 100, 22, 1, 0.2, evaluation_grid(2, 5))],
+        "q,n,seed,beta_star,s,size",
+        [(1, 40, 21, 1, 0.05, 21), (2, 100, 22, 1, 0.2, 5)],
         ids=["q1", "q2"],
     )
-    def test_warm_ladder_equals_cold_rungs(self, monkeypatch, q, n, seed, beta_star, s, grid):
+    def test_warm_ladder_equals_cold_rungs(self, monkeypatch, q, n, seed, beta_star, s, size):
         """Each rung's LPs start from the optimal rows of the rung below; the
         estimates are the bytes of a cold ``fit_grid`` per rung. A small s
         starts the ladder at windows that hold few points, so it has
@@ -283,10 +278,11 @@ class TestAdaptiveBandwidth:
             return solve(prob, start=start)
 
         monkeypatch.setattr(lp, "solve", recording)
-        res = adaptive_bandwidth(data, beta_star, AdaptiveConfig(grid=grid, s=s))
+        res = adaptive_bandwidth(data, beta_star, AdaptiveConfig(grid_points_per_axis=size, s=s))
         assert 3 * sum(warm) >= len(warm)  # at least a third of the LPs start warm
         statuses = set()
         cold = np.empty_like(res.grid_estimates)
+        grid = evaluation_grid(q, size)
         for k, h in enumerate(res.bandwidths):
             cfg = EstimatorConfig(beta_star=beta_star, h=float(h), **LADDER_POLICIES)
             fits = fit_grid(data, grid, cfg)
@@ -294,9 +290,3 @@ class TestAdaptiveBandwidth:
             cold[k] = [fit.value for fit in fits]
         assert {"degraded", "expanded"} <= statuses
         assert cold.tobytes() == res.grid_estimates.tobytes()
-
-    def test_grid_dimension_checked(self):
-        data = sine_data(100, seed=6)
-        cfg = AdaptiveConfig(grid=np.array([[0.5, 0.5]]))
-        with pytest.raises(ValueError):
-            adaptive_bandwidth(data, 1, cfg)

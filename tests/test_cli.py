@@ -460,6 +460,14 @@ class TestAdaptiveCommand:
         assert record["error"] == "ConfigError"
         assert f"({key})" in record["message"] and record["message"].endswith("got inf")
 
+    @pytest.mark.parametrize("value,message", [
+        ("x", "adaptive_grid: expected an integer, got 'x'"),
+        ("0", "grid_points_per_axis (adaptive_grid) must be an integer >= 1, got 0")])
+    def test_bad_adaptive_grid_exits_2_naming_the_key(self, refuse, value, message):
+        record = refuse("adaptive", ADAPTIVE_CONFIG.replace("adaptive_grid = 7",
+                                                            f"adaptive_grid = {value}"))
+        assert record == {"error": "ConfigError", "message": message}
+
     def test_fixed_rule_exits_2(self, refuse):
         record = refuse("adaptive", ADAPTIVE_CONFIG.replace(
             "bandwidth = adaptive", "bandwidth = fixed:0.3\nfallback = error"), "--workers", "1")

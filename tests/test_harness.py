@@ -116,9 +116,9 @@ class TestCenterRuns:
         assert full.cells[(1, 196)] == single.cells[(1, 196)]
 
     def test_tallies_sum_to_replications(self):
-        table = run_mse(small_center_spec(), workers=1)
-        for cell in table.cells.values():
-            assert cell.n_exact + cell.n_degraded + cell.n_expanded == cell.replications == 8
+        spec = small_center_spec()
+        for cell in run_mse(spec, workers=1).cells.values():
+            assert cell.n_exact + cell.n_degraded + cell.n_expanded == spec.replications == 8
             assert cell.mse >= 0
 
     def test_fixed_design_supported(self):
@@ -237,7 +237,7 @@ class TestFailureLabels:
             run_rate_study(balanced, eval_grid_size=3, workers=1)
         data = harness._make_dataset(spec, 1, 100, 0)
         with pytest.raises(RuntimeError, match=r"^ladder rung k=0 \(h=[^)]*\): " + point):
-            adaptive_bandwidth(data, 1, AdaptiveConfig(grid=evaluation_grid(2, 3)))
+            adaptive_bandwidth(data, 1, AdaptiveConfig(grid_points_per_axis=3))
 
 
 class TestEvaluationGrid:
@@ -328,7 +328,7 @@ class TestAdaptiveRuns:
             master_seed=17,
             bandwidth=BandwidthRule("adaptive"),
         )
-        cfg = AdaptiveConfig(grid=np.linspace(0.1, 0.9, 7)[:, None])
+        cfg = AdaptiveConfig(grid_points_per_axis=7)
         runs = run_adaptive(spec, cfg, workers=1)
         assert len(runs) == 3
         for run in runs:
@@ -423,7 +423,8 @@ class TestRuleChecks:
     def test_adaptive_refuses_other_rules_and_policies(self, overrides, key):
         spec = small_center_spec(beta_star_list=(1,), bandwidth=BandwidthRule("adaptive"))
         with pytest.raises(ValueError, match=f"^{key}: "):
-            run_adaptive(replace(spec, **overrides), AdaptiveConfig(grid=[[0.5, 0.5]]), workers=1)
+            run_adaptive(replace(spec, **overrides), AdaptiveConfig(grid_points_per_axis=1),
+                         workers=1)
 
     @pytest.mark.parametrize(
         "make,match",
@@ -435,20 +436,15 @@ class TestRuleChecks:
              bandwidth=BandwidthRule("balanced", alpha=1.0, beta=2.0)), workers=1),
           "^n_list must be increasing$"),
          (lambda: run_adaptive(small_center_spec(bandwidth=BandwidthRule("adaptive")),
-                               AdaptiveConfig(grid=[[0.5, 0.5]]), workers=1),
+                               AdaptiveConfig(grid_points_per_axis=1), workers=1),
           "^adaptive runs use one beta_star at a time$"),
-         (lambda: run_adaptive(small_center_spec(beta_star_list=(1,),
-                                                 bandwidth=BandwidthRule("adaptive")),
-                               AdaptiveConfig(grid=[[0.5]]), workers=1),
-          r"^grid has dimension 1, expected q = 2$"),
          (lambda: build_experiment_spec({**REQUIRED, "n": "50, x"}),
           "^n: expected comma-separated integers, got '50, x'$"),
          (lambda: build_experiment_spec({**REQUIRED, "bandwidth": "fixed:x"}),
           "^bandwidth: expected a fixed h, got 'x'$"),
-         (lambda: build_adaptive_config({"adaptive_grid": "0"}, 1),
-          "^adaptive_grid: expected an integer grid size of at least 1 point per axis, got '0'$")],
-        ids=["no-beta-star", "grid-0", "decreasing-n", "two-beta-stars", "grid-dimension",
-             "non-integer-n",
+         (lambda: build_adaptive_config({"adaptive_grid": "0"}),
+          r"^grid_points_per_axis \(adaptive_grid\) must be an integer >= 1, got 0$")],
+        ids=["no-beta-star", "grid-0", "decreasing-n", "two-beta-stars", "non-integer-n",
              "non-numeric-fixed-h", "adaptive-grid-0"],
     )
     def test_refused_before_any_cell(self, make, match):
@@ -479,8 +475,11 @@ WHOLE_SITES = {
                   "evaluation: grid points per axis", 1, lambda s: s.grid_points_per_axis),
     "estimator-beta-star": (lambda v: EstimatorConfig(beta_star=v, h=0.5), "beta_star", 0,
                             lambda c: c.beta_star),
-    "hill-order": (lambda v: AdaptiveConfig(grid=[[0.5]], hill_order=v),
+    "hill-order": (lambda v: AdaptiveConfig(hill_order=v),
                    "hill_order (adaptive_hill_order)", 1, lambda c: c.hill_order),
+    "adaptive-grid": (lambda v: AdaptiveConfig(grid_points_per_axis=v),
+                      "grid_points_per_axis (adaptive_grid)", 1,
+                      lambda c: c.grid_points_per_axis),
     "design-q": (lambda v: DesignSpec("random_uniform", q=v, n=4), "q", 1, lambda d: d.q),
     "design-n": (lambda v: DesignSpec("random_uniform", q=2, n=v), "n_list (n)", 1,
                  lambda d: d.n),
@@ -639,10 +638,7 @@ class TestConfigParsing:
         # a key the config leaves out keeps its dataclass field's default
         assert asdict(spec) == asdict(ExperimentSpec(q=1, n_list=(50,), beta_star_list=(1,),
                                                      replications=2, master_seed=0))
-        built, default = build_adaptive_config({}, 2), AdaptiveConfig(grid=evaluation_grid(2, 25))
-        for name in ("s", "rho", "threshold_constant", "hill_order"):
-            assert getattr(built, name) == getattr(default, name)
-        assert built.grid.tobytes() == default.grid.tobytes()
+        assert build_adaptive_config({}) == AdaptiveConfig()
 
     @pytest.mark.parametrize(
         "text,match",
@@ -699,8 +695,8 @@ class TestConfigParsing:
         }
         base.update(overrides)
         with pytest.raises(ConfigError, match=match):
-            spec = build_experiment_spec(base)
-            build_adaptive_config(base, spec.q)
+            build_experiment_spec(base)
+            build_adaptive_config(base)
             config_int(base, "rate_grid", 33)
 
     def test_missing_required(self):
@@ -729,11 +725,14 @@ class TestConfigParsing:
 
     def test_adaptive_config(self):
         cfg = build_adaptive_config(
-            {"adaptive_s": "0.4", "adaptive_rho": "1.5", "adaptive_grid": "5"}, q=1
-        )
-        assert cfg.s == 0.4
-        assert cfg.rho == 1.5
-        assert cfg.grid.shape == (5, 1)
+            {"adaptive_s": "0.4", "adaptive_rho": "1.5", "adaptive_grid": "5"})
+        assert cfg == AdaptiveConfig(grid_points_per_axis=5, s=0.4, rho=1.5)
+
+    def test_adaptive_keys_set_exactly_the_config_fields(self):
+        """Each AdaptiveConfig field has one adaptive_* key and no other
+        default, so a config that leaves every key out is the dataclass's."""
+        assert ({name for name, _ in harness._ADAPTIVE_KNOBS.values()}
+                == {f.name for f in fields(AdaptiveConfig)})
 
 
 class TestWorkers:
@@ -773,7 +772,7 @@ class TestWorkers:
         run = {
             "mse": lambda: run_mse(small_center_spec(), workers=workers),
             "rate": lambda: run_rate_study(rate_spec, workers=workers),
-            "adaptive": lambda: run_adaptive(adaptive_spec, AdaptiveConfig(grid=[[0.5, 0.5]]),
+            "adaptive": lambda: run_adaptive(adaptive_spec, AdaptiveConfig(grid_points_per_axis=1),
                                              workers=workers),
         }[study]
         match = f"^workers must be an integer >= 1, got {re.escape(repr(workers))}$"

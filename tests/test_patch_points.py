@@ -20,7 +20,7 @@ import pytest
 from locfront import estimator
 from locfront.bandwidth import AdaptiveConfig, adaptive_bandwidth
 from locfront.estimator import Dataset, EstimatorConfig, fit_at
-from locfront.harness import BandwidthRule, ExperimentSpec, evaluation_grid, run_mse, run_rate_study
+from locfront.harness import BandwidthRule, ExperimentSpec, run_mse, run_rate_study
 
 from oracles import count_calls
 
@@ -116,7 +116,7 @@ class TestOneFitPerGridPoint:
         rng = np.random.default_rng(4)
         points = rng.uniform(size=(150, 2))
         data = Dataset(points, points.sum(axis=1) - rng.exponential(size=150))
-        result = adaptive_bandwidth(data, 1, AdaptiveConfig(grid=evaluation_grid(2, 3)))
+        result = adaptive_bandwidth(data, 1, AdaptiveConfig(grid_points_per_axis=3))
         assert [call["cfg"].h for call in fit_calls] == [
             float(h) for h in result.bandwidths for _ in range(9)]
 
@@ -167,7 +167,7 @@ class TestOneCallPerLayerPerFit:
         rng = np.random.default_rng(4)
         points = rng.uniform(size=(150, 2))
         data = Dataset(points, points.sum(axis=1) - rng.exponential(size=150))
-        adaptive_bandwidth(data, 2, AdaptiveConfig(grid=evaluation_grid(2, 3)))
+        adaptive_bandwidth(data, 2, AdaptiveConfig(grid_points_per_axis=3))
         fits = self.check(layers)
         # the ladder retried some degrees, some down to 0
         assert any(used < asked for asked, used in fits)
