@@ -27,9 +27,9 @@ from .estimator import DatasetFormatError, EstimatorConfig, fit_grid, load_datas
 from .harness import ConfigError
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str, command: str) -> dict[str, str]:
     with open(path) as fh:
-        return harness.parse_config(fh.read())
+        return harness.parse_config(fh.read(), command)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +165,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _read_config(args.config)
+    cfg = _read_config(args.config, args.command)
     spec = harness.build_experiment_spec(cfg)
     table = harness.run_mse(spec, workers=args.workers)
     harness.write_result_csv(table, args.out_csv)
@@ -182,7 +182,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_rate_study(args) -> int:
-    cfg = _read_config(args.config)
+    cfg = _read_config(args.config, args.command)
     spec = harness.build_experiment_spec(cfg)
     grid_size = harness.config_int(cfg, "rate_grid", args.eval_grid)
     source = "rate_grid" if "rate_grid" in cfg else "--eval-grid"
@@ -197,7 +197,7 @@ def _cmd_rate_study(args) -> int:
 
 
 def _cmd_adaptive(args) -> int:
-    cfg = _read_config(args.config)
+    cfg = _read_config(args.config, args.command)
     spec = harness.build_experiment_spec(cfg)
     adaptive_cfg = harness.build_adaptive_config(cfg)
     runs = harness.run_adaptive(spec, adaptive_cfg, workers=args.workers)

@@ -92,7 +92,8 @@ def resolve_bandwidth(rule: BandwidthRule, n: int, q: int, beta_star: int) -> fl
 class ExperimentSpec:
     """Declarative Monte Carlo experiment over a (beta_star, n) grid; each field is
     checked before any cell runs by the owner of its rule: ``_whole`` (so ``2.0``
-    is refused, not truncated), ``DesignSpec`` and ``resolve_bandwidth``."""
+    is refused, not truncated), ``DesignSpec`` and ``resolve_bandwidth``. A
+    sample size or degree listed twice is refused, as each names one cell."""
 
     q: int
     n_list: tuple[int, ...]
@@ -121,9 +122,14 @@ class ExperimentSpec:
              _whole(self.grid_points_per_axis, "evaluation: grid points per axis", 1)),
         ):
             object.__setattr__(self, name, value)
-        for name in ("n_list", "beta_star_list"):
-            if not getattr(self, name):
+        for name, key in (("n_list", "n"), ("beta_star_list", "beta_star")):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must be nonempty")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} ({key}) entries must be distinct, "
+                                     f"got {value} more than once")
         try:
             for beta_star in () if self.bandwidth.kind == "adaptive" else self.beta_star_list:
                 for n in self.n_list:
@@ -419,8 +425,10 @@ def write_adaptive_diagnostics_csv(result: AdaptiveResult, path) -> None:
 # experiment config files: "key = value" lines, '#' comments
 
 
-def parse_config(text: str) -> dict[str, str]:
-    """Raw key/value pairs from config text; unknown keys are rejected."""
+def parse_config(text: str, command: str) -> dict[str, str]:
+    """Raw key/value pairs from the config text of a study ``command``; a key
+    the command does not read is refused at its line, naming the commands
+    that read it."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -430,8 +438,12 @@ def parse_config(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key not in _COMMAND_KEYS[command]:
+            readers = [name for name, keys in _COMMAND_KEYS.items() if key in keys]
+            if not readers:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: key {key!r} is read by {', '.join(readers)}, "
+                              f"not {command}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
@@ -509,9 +521,12 @@ _ADAPTIVE_KNOBS = {"adaptive_s": ("s", config_float), "adaptive_rho": ("rho", co
                    "adaptive_hill_order": ("hill_order", config_int),
                    "adaptive_grid": ("grid_points_per_axis", config_int)}
 _REQUIRED = ("q", "n", "beta_star", "replications", "seed")
-# every key parse_config accepts; evaluation and rate_grid have parsers of
-# their own
-_CONFIG_KEYS = {*_REQUIRED, *_SPEC_PARSERS, *_ADAPTIVE_KNOBS, "evaluation", "rate_grid"}
+# the keys each study command reads, and so the only keys parse_config lets it
+# set: every study builds its ExperimentSpec from the study keys
+_STUDY_KEYS = frozenset({*_REQUIRED, *_SPEC_PARSERS})
+_COMMAND_KEYS = {"simulate": _STUDY_KEYS | {"evaluation"},
+                 "rate-study": _STUDY_KEYS | {"rate_grid"},
+                 "adaptive": _STUDY_KEYS | set(_ADAPTIVE_KNOBS)}
 
 
 def build_experiment_spec(cfg: dict[str, str]) -> ExperimentSpec:

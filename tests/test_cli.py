@@ -43,6 +43,13 @@ evaluation = center
 """
 
 
+def study_argv(command, cfg_path, out):
+    """The argv of a study command on a config file, every output at ``out``."""
+    outs = {"simulate": ["--out-csv", out, "--out-json", out],
+            "rate-study": ["--out-json", out], "adaptive": ["--out-csv", out]}[command]
+    return [command, "--config", str(cfg_path), *outs]
+
+
 @pytest.fixture
 def refuse(tmp_path, monkeypatch, capsys):
     """Run a study command on a config text, with every cell forbidden; it
@@ -55,10 +62,7 @@ def refuse(tmp_path, monkeypatch, capsys):
     def run(command, config, *flags):
         cfg_path = tmp_path / "study.cfg"
         cfg_path.write_text(config)
-        out = str(tmp_path / "out")
-        outs = {"simulate": ["--out-csv", out, "--out-json", out],
-                "rate-study": ["--out-json", out], "adaptive": ["--out-csv", out]}[command]
-        assert main([command, "--config", str(cfg_path), *outs, *flags]) == 2
+        assert main([*study_argv(command, cfg_path, str(tmp_path / "out")), *flags]) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["study.cfg"]
         return json.loads(capsys.readouterr().err)
 
@@ -276,7 +280,7 @@ class TestSimulateCommand:
                      "--out-json", str(out_json), "--workers", "1"])
         assert code == 0
         payload = json.loads(out_json.read_text())
-        spec = build_experiment_spec(parse_config(SIM_CONFIG))
+        spec = build_experiment_spec(parse_config(SIM_CONFIG, "simulate"))
         table = run_mse(spec, workers=1)
         expected = {(row["beta_star"], row["n"]): row["mse"] for row in table.rows()}
         for row in payload["results"]:
@@ -361,7 +365,7 @@ class TestRateStudyCommand:
         out_json = tmp_path / "rate.json"
         assert main(["rate-study", "--config", str(cfg_path), "--out-json", str(out_json),
                      "--workers", "1", *flags]) == 0
-        spec = build_experiment_spec(parse_config(text))
+        spec = build_experiment_spec(parse_config(text, "rate-study"))
         sizes = {} if size is None else {"eval_grid_size": size}
         expected = harness.run_rate_study(spec, workers=1, **sizes)
         assert json.loads(out_json.read_text())["median_sup_errors"] == list(
@@ -493,24 +497,25 @@ class TestAdaptiveCommand:
             "hill_order (adaptive_hill_order) 40: needs 41 pilot residuals, more than n = 30")}
 
 
+CONFIGS = {"simulate": SIM_CONFIG, "rate-study": RATE_CONFIG, "adaptive": ADAPTIVE_CONFIG}
+
+
 class TestWorkerCount:
     """--workers and LOCFRONT_WORKERS pass the one worker rule, an integer
     >= 1; a refusal exits 2 naming its source before any cell runs."""
-
-    CONFIGS = {"simulate": SIM_CONFIG, "rate-study": RATE_CONFIG, "adaptive": ADAPTIVE_CONFIG}
 
     @pytest.mark.parametrize("command", ["simulate", "rate-study", "adaptive"])
     @pytest.mark.parametrize("value", ["0", "-5", "1.5", "two"])
     def test_bad_flag(self, refuse, monkeypatch, command, value):
         monkeypatch.delenv("LOCFRONT_WORKERS", raising=False)
-        assert refuse(command, self.CONFIGS[command], "--workers", value) == {
+        assert refuse(command, CONFIGS[command], "--workers", value) == {
             "error": "ConfigError", "message": f"--workers must be an integer >= 1, got '{value}'"}
 
     @pytest.mark.parametrize("command", ["simulate", "rate-study", "adaptive"])
     @pytest.mark.parametrize("value", ["0", "-5", "two"])
     def test_bad_environment(self, refuse, monkeypatch, command, value):
         monkeypatch.setenv("LOCFRONT_WORKERS", value)
-        assert refuse(command, self.CONFIGS[command]) == {
+        assert refuse(command, CONFIGS[command]) == {
             "error": "ConfigError",
             "message": f"LOCFRONT_WORKERS must be an integer >= 1, got '{value}'"}
 
@@ -521,3 +526,76 @@ class TestWorkerCount:
         out = tmp_path / "rate.json"
         assert main(["rate-study", "--config", str(cfg_path), "--out-json", str(out),
                      "--workers", "1"]) == 0
+
+
+# a valid value for every config key
+KEY_VALUES = {"q": "1", "n": "50", "beta_star": "1", "replications": "2", "seed": "0",
+              "design": "random_uniform", "error": "exponential", "model": "sine_sum",
+              "bandwidth": "simulation", "fallback": "degrade_degree", "empty_window": "expand",
+              "evaluation": "grid:3", "rate_grid": "5", "adaptive_s": "0.5",
+              "adaptive_rho": "1.3", "adaptive_constant": "1.0", "adaptive_hill_order": "10",
+              "adaptive_grid": "3"}
+ADAPTIVE_KEYS = ("adaptive_s", "adaptive_rho", "adaptive_constant", "adaptive_hill_order",
+                 "adaptive_grid")
+
+
+class TestConfigKeys:
+    """A study command accepts exactly the config keys it reads: any other
+    key exits 2 before any cell, naming its line, the key, the commands that
+    read it and the command that does not."""
+
+    @pytest.mark.parametrize("command,key,readers", [
+        *(("simulate", key, "adaptive") for key in ADAPTIVE_KEYS),
+        ("simulate", "rate_grid", "rate-study"),
+        *(("rate-study", key, "adaptive") for key in ADAPTIVE_KEYS),
+        ("rate-study", "evaluation", "simulate"),
+        ("adaptive", "evaluation", "simulate"),
+        ("adaptive", "rate_grid", "rate-study"),
+    ])
+    def test_key_another_command_reads_exits_2(self, refuse, command, key, readers):
+        text = CONFIGS[command] + f"{key} = {KEY_VALUES[key]}\n"
+        assert refuse(command, text, "--workers", "1") == {
+            "error": "ConfigError",
+            "message": f"line {len(text.splitlines())}: key {key!r} is read by {readers}, "
+                       f"not {command}"}
+
+    @pytest.mark.parametrize("command", ["simulate", "rate-study", "adaptive"])
+    def test_every_accepted_key_is_read(self, tmp_path, monkeypatch, command):
+        """A config that sets every key its command accepts has each value
+        read by the command's builders before the study runs."""
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        class StudyRan(Exception):
+            pass
+
+        def study(*args, **kwargs):
+            raise StudyRan
+
+        parse = harness.parse_config
+        monkeypatch.setattr(harness, "parse_config", lambda *args: Recording(parse(*args)))
+        for name in ("run_mse", "run_rate_study", "run_adaptive"):
+            monkeypatch.setattr(harness, name, study)
+        accepted = harness._COMMAND_KEYS[command]
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text("".join(f"{key} = {KEY_VALUES[key]}\n" for key in sorted(accepted)))
+        with pytest.raises(StudyRan):
+            main([*study_argv(command, cfg_path, str(tmp_path / "out")), "--workers", "1"])
+        assert read == accepted
+        assert len(accepted) == {"simulate": 12, "rate-study": 12, "adaptive": 16}[command]
+
+    @pytest.mark.parametrize("command,old,new,message", [
+        ("simulate", "n = 64, 121", "n = 100, 100", "n_list (n) entries must be distinct, got 100"),
+        ("simulate", "beta_star = 0, 1", "beta_star = 1, 1",
+         "beta_star_list (beta_star) entries must be distinct, got 1"),
+        ("rate-study", "n = 60, 120, 240, 480", "n = 60, 60, 120, 240",
+         "n_list (n) entries must be distinct, got 60"),
+        ("adaptive", "n = 120", "n = 200, 200", "n_list (n) entries must be distinct, got 200"),
+    ], ids=["simulate-n", "simulate-beta-star", "rate-study-n", "adaptive-n"])
+    def test_repeated_entry_exits_2(self, refuse, command, old, new, message):
+        record = refuse(command, CONFIGS[command].replace(old, new), "--workers", "1")
+        assert record == {"error": "ConfigError", "message": f"{message} more than once"}

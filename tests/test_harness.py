@@ -77,6 +77,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_center_spec(design="clustered")
 
+    @pytest.mark.parametrize("overrides,match", [
+        ({"n_list": (100, 196, 100)}, r"^n_list \(n\) entries must be distinct, got 100 "),
+        ({"beta_star_list": (1, np.int64(1))},
+         r"^beta_star_list \(beta_star\) entries must be distinct, got 1 "),
+    ], ids=["n", "beta-star"])
+    def test_repeated_entry_refused_naming_key_and_value(self, overrides, match):
+        # each entry names one cell, so a repeat would fit a cell twice
+        with pytest.raises(ValueError, match=match + "more than once$"):
+            small_center_spec(**overrides)
+
     def test_bandwidth_rule_validation(self):
         with pytest.raises(ValueError):
             BandwidthRule("fixed")
@@ -618,7 +628,7 @@ class TestConfigParsing:
     """
 
     def test_round_trip(self):
-        spec = build_experiment_spec(parse_config(self.GOOD))
+        spec = build_experiment_spec(parse_config(self.GOOD, "simulate"))
         assert spec.q == 2
         assert spec.n_list == (100, 400)
         assert spec.beta_star_list == (0, 1)
@@ -629,7 +639,7 @@ class TestConfigParsing:
 
     def test_defaults(self):
         spec = build_experiment_spec(
-            parse_config("q=1\nn=50\nbeta_star=1\nreplications=2\nseed=0")
+            parse_config("q=1\nn=50\nbeta_star=1\nreplications=2\nseed=0", "simulate")
         )
         assert spec.design == "random_uniform"
         assert spec.error == ErrorSpec("exponential_unit")
@@ -651,7 +661,7 @@ class TestConfigParsing:
     )
     def test_parse_errors(self, text, match):
         with pytest.raises(ConfigError, match=match):
-            parse_config(text)
+            parse_config(text, "simulate")
 
     @pytest.mark.parametrize(
         "overrides,match",
@@ -701,7 +711,7 @@ class TestConfigParsing:
 
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="missing required"):
-            build_experiment_spec(parse_config("q = 2"))
+            build_experiment_spec(parse_config("q = 2", "simulate"))
 
     @pytest.mark.parametrize("value", ["gridiron", "grids:4", "grid", "centre", "grid 4"])
     def test_evaluation_is_exactly_center_or_grid_n(self, value):
@@ -710,18 +720,23 @@ class TestConfigParsing:
             build_experiment_spec({**REQUIRED, "evaluation": value})
 
     def test_readme_table_names_every_config_key(self):
-        """The first column of the README's config-key table names exactly the
-        keys parse_config accepts, so a key and its doc row come together."""
+        """The README's config-key table names exactly the keys some study
+        command reads, each with the commands that read it, so a key and its
+        doc row come together."""
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         lines = readme.split("### Experiment config format", 1)[1].splitlines()
         rows = dropwhile(lambda line: not line.startswith("|"), lines)
         table = list(takewhile(lambda line: line.startswith("|"), rows))
-        # past the header and the separator row, the first cell names the key(s)
-        documented = {key for row in table[2:]
-                      for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
-        assert documented == harness._CONFIG_KEYS
-        for key in documented:
-            assert parse_config(f"{key} = 1") == {key: "1"}
+        # past the header and the separator row, the first cell names the
+        # key(s) and the second the commands that read them
+        documented = {key: set(re.findall(r"`([^`]+)`", row.split("|")[2]))
+                      for row in table[2:] for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+        read_by = harness._COMMAND_KEYS
+        assert documented == {key: {command for command in read_by if key in read_by[command]}
+                              for key in set().union(*read_by.values())}
+        for key, commands in documented.items():
+            for command in commands:
+                assert parse_config(f"{key} = 1", command) == {key: "1"}
 
     def test_adaptive_config(self):
         cfg = build_adaptive_config(
