@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import estimator, harness
-from .estimator import DatasetFormatError, EstimatorConfig, fit_grid, load_dataset
+from .estimator import EstimatorConfig, fit_grid, load_dataset
 from .harness import ConfigError
 
 
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
         if getattr(args, "workers", None) is not None:
             args.workers = harness.worker_count(args.workers, "--workers")
         return _COMMANDS[args.command](args)
-    except (ConfigError, DatasetFormatError, ValueError, RuntimeError, OSError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         record = {"error": type(err).__name__, "message": str(err)}
         print(json.dumps(record), file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ axis by axis, and its binary search ``slab`` cuts the positions of the rows
 whose first coordinate can lie in a window. ``window_rows`` tests only that
 slab, a view of the copy, so a query costs O(log n + slab) instead of O(n)
 and returns exactly the rows a full-array mask selects. ``window_maxima``
-runs the same search and ``within`` over a whole batch of centres at once.
+tests blocks of key-ordered centres with ``within`` on runs of the copy.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def contains_mask(points: np.ndarray, x, h: float) -> np.ndarray:
 
 
 _SLAB_PAD = 4.0 * np.finfo(float).eps  # slab widening per unit of |c0| + h
-_BLOCK_CELLS = 1 << 16  # (centre, slab row) pairs per block of window_maxima
+_BLOCK_CELLS = 1 << 14  # (centre, run row) pairs per block of window_maxima
 
 
 @dataclass(frozen=True)
@@ -138,27 +138,26 @@ def window_maxima(index: WindowIndex, values: np.ndarray, centers: np.ndarray, h
     """Per centre of the (m, q) batch, the maximum of ``values`` (finite, one
     per indexed point) over the rows ``window_rows`` returns, or -inf if none.
 
-    One vectorised search gives every centre's slab. A block of centres, at
-    most ``_BLOCK_CELLS`` (centre, slab row) pairs or one centre, takes their
-    slabs padded to the block's widest, at least one row, from the sorted
-    copy by position and tests them with ``within``.
+    Centres go in key order, in blocks grown from one centre while their
+    count times their run (least slab start to greatest slab end) stays at
+    most ``_BLOCK_CELLS``; ``within`` tests each block on its run of the copy.
     """
     check_centers(centers, h)
-    lo, hi = index.slab(centers[:, 0], h)
-    widths = hi - lo
-    block = max(1, _BLOCK_CELLS // max(1, int(widths.max(initial=0))))
-    maxima = np.empty(centers.shape[0])
-    for start in range(0, centers.shape[0], block):
-        span = slice(start, start + block)
-        offsets = np.arange(max(1, widths[span].max()))
-        # a position past a centre's slab holds a row outside its window,
-        # and one clipped to the last row repeats a row of the slab or lies
-        # below an empty slab at the end; none changes the maximum
-        positions = np.minimum(lo[span, None] + offsets, index.order.size - 1)
-        points = np.moveaxis(index.coords.take(positions, axis=1), 0, -1)
-        inside = within(points, centers[span, None, :], h)
-        gathered = values.take(index.order.take(positions))
-        maxima[span] = np.where(inside, gathered, -np.inf).max(axis=1)
+    by_key = centers[:, 0].argsort()
+    starts, ends = (bound.tolist() for bound in index.slab(centers[by_key, 0], h))
+    keyed = values.take(index.order)
+    maxima, stop = np.empty(centers.shape[0]), 0
+    while stop < len(by_key):
+        first, lo, hi = stop, starts[stop], ends[stop]
+        while (stop := stop + 1) < len(by_key):
+            lo_next = starts[stop] if starts[stop] < lo else lo
+            hi_next = ends[stop] if ends[stop] > hi else hi
+            if (stop + 1 - first) * (hi_next - lo_next) > _BLOCK_CELLS:
+                break
+            lo, hi = lo_next, hi_next
+        block = by_key[first:stop]
+        inside = within(index.coords[:, lo:hi].T, centers[block, None, :], h)
+        maxima[block] = np.where(inside, keyed[lo:hi], -np.inf).max(axis=1, initial=-np.inf)
     return maxima
 
 

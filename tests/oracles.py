@@ -3,9 +3,10 @@
 Each oracle deliberately avoids the code path it verifies: quadrature instead
 of antiderivatives, exact rationals instead of floating-point products, direct
 rule evaluation instead of the incremental scan, vertex enumeration and scipy's
-HiGHS instead of the package's simplex. ``random_lp`` draws the random local
-LPs those oracles check, and ``count_calls`` records the calls the package
-makes to one of its functions.
+HiGHS instead of the package's simplex, and ``exact_optimal_check`` re-derives
+an optimal basis's solution and multipliers in rationals. ``random_lp`` draws
+the random local LPs those oracles check, and ``count_calls`` records the calls
+the package makes to one of its functions.
 """
 
 from __future__ import annotations
@@ -291,6 +292,54 @@ def dual_residuals(prob, g, b) -> tuple[float, float]:
     gap_scale = float(np.abs(y) @ np.abs(g) + np.abs(v) @ np.abs(b))
     gap = abs(float(y @ g) - float(v @ b))
     return feasibility, gap / gap_scale if gap_scale > 0.0 else 0.0
+
+
+def _exact_solve(M, rhs):
+    """The solution of the square rational system M z = rhs by Gaussian
+    elimination, or None when M is singular."""
+    rows = [list(row) + [c] for row, c in zip(M, rhs)]
+    p = len(rows)
+    for k in range(p):
+        pivot = next((i for i in range(k, p) if rows[i][k] != 0), None)
+        if pivot is None:
+            return None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, p):
+            factor = rows[i][k] / rows[k][k]
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    z = [Fraction(0)] * p
+    for k in reversed(range(p)):
+        z[k] = (rows[k][p] - sum(rows[k][j] * z[j] for j in range(k + 1, p))) / rows[k][k]
+    return z
+
+
+def exact_optimal_check(prob, outcome) -> float:
+    """Check in exact rationals, on the float inputs, that ``outcome.active``
+    is an optimal basis of ``prob``, and return the float value's error.
+
+    A_B, the rows of A in ``outcome.active``, must be square and nonsingular;
+    its exact basic solution b* = A_B^-1 y_B must satisfy A b* >= y on every
+    row, and its multipliers g_B = A_B^-T v must be >= 0, which together
+    prove b* optimal. A failed check raises AssertionError. Returns
+    |b_0 - b*_0| for the float solution b, relative to the response spread
+    max(y) - min(y) (absolute when the spread is 0).
+    """
+    A = [[Fraction(a) for a in row] for row in prob.constraints.tolist()]
+    y = [Fraction(c) for c in prob.rhs.tolist()]
+    v = [Fraction(c) for c in prob.objective.tolist()]
+    active = outcome.active.tolist()
+    assert len(active) == len(v), f"{len(active)} active rows for {len(v)} coefficients"
+    A_B = [A[i] for i in active]
+    b = _exact_solve(A_B, [y[i] for i in active])
+    assert b is not None, f"A_B is singular on the rows {active}"
+    violated = [i for i, (row, c) in enumerate(zip(A, y)) if sum(map(Fraction.__mul__, row, b)) < c]
+    assert not violated, f"A b* >= y fails on the rows {violated}"
+    g = _exact_solve(list(zip(*A_B)), v)
+    assert min(g) >= 0, f"negative multiplier g_B = {[float(c) for c in g]}"
+    error = abs(Fraction(float(outcome.solution[0])) - b[0])
+    spread = max(y) - min(y)
+    return float(error / spread if spread else error)
 
 
 def random_lp(rng) -> lp.LpProblem:

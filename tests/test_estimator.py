@@ -20,6 +20,7 @@ from locfront.estimator import (
     load_dataset,
     save_dataset,
 )
+from locfront.synthetic import lattice
 from locfront.windows import contains_mask, objective_vector, window_rows
 
 from oracles import count_calls
@@ -196,6 +197,35 @@ class TestFitLocalConstant:
             ds.responses[contains_mask(ds.points, c, h)].max() for c in centers
         ]
         assert fit_local_constant(ds, centers, h).tolist() == expected
+
+    @pytest.mark.parametrize("cells", [50, 500])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_blocks_keep_to_the_cell_budget(self, monkeypatch, cells, order):
+        """Centres in reverse key order or shuffled, over a 12x12 lattice that
+        repeats every key: each maximum equals a full-array mask's, -inf for
+        the empty windows at both ends of the keys, and a ``within`` call of
+        more than one centre tests at most ``_BLOCK_CELLS`` (centre, row) pairs."""
+        rng = np.random.default_rng(12)
+        points = lattice(np.linspace(0.25, 0.75, 12), 2)
+        ds = Dataset(points, rng.normal(size=points.shape[0]))
+        centers = lattice(np.linspace(0.0, 1.0, 12), 2)
+        if order == "reversed":
+            centers = centers[np.argsort(centers[:, 0], kind="stable")[::-1]]
+        else:
+            centers = centers[rng.permutation(centers.shape[0])]
+        h = 0.1
+        expected = [ds.responses[contains_mask(ds.points, c, h)].max(initial=-np.inf)
+                    for c in centers]
+        ends = (centers[:, 0] == 0.0) | (centers[:, 0] == 1.0)
+        assert np.isneginf(np.array(expected)[ends]).all()
+        monkeypatch.setattr(windows, "_BLOCK_CELLS", cells)
+        calls = count_calls(monkeypatch, "locfront.windows", "within")
+        maxima = windows.window_maxima(ds.index, ds.responses, centers, h)
+        assert maxima.tolist() == expected
+        blocks = [(call["centers"].shape[0], call["result"].size) for call in calls]
+        assert sum(size for size, _ in blocks) == centers.shape[0]
+        assert max(size for size, _ in blocks) > 1
+        assert all(pairs <= cells for size, pairs in blocks if size > 1)
 
 
 def assert_same_fit(a, b):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from locfront import lp
 from locfront.basis import enumerate_basis, vandermonde
+from locfront.estimator import Dataset, EstimatorConfig, fit_grid
 from locfront.lp import (
     Infeasible,
     LpProblem,
@@ -17,9 +20,11 @@ from locfront.lp import (
 from locfront.windows import clip_window, objective_vector
 
 from oracles import (
+    count_calls,
     dict_ratio_simplex,
     dual_residuals,
     enumerate_vertices_oracle,
+    exact_optimal_check,
     highs_has_certificate,
     highs_reference,
     random_lp,
@@ -128,7 +133,7 @@ class TestProblemValidation:
                     LpProblem(v, A, y)
 
 
-class TestCheckBounded:
+class TestDualCertificate:
     """``solve``'s dual certificate: g >= 0 with A^T g = v proves the LP
     bounded, and y.g = v.b proves its solution optimal."""
 
@@ -328,13 +333,49 @@ def test_tie_heavy_lp_with_an_inexact_square_solve():
     some test bodies. ``solve`` returns b = (0, -1, 0, -2^-55), which
     violates the row (1, 0, 0, 1) by 2^-55 at a row scale of 2^-55, so its
     scale-relative error is 1. Taking the active rows in ascending order
-    does not mend it."""
+    does not mend it.
+
+    Only the final solve errs: column 2 of A is zero, so phase 1 drops its
+    equality row and three rows are active, and on the LP without that
+    column those rows are an exactly optimal basis whose solution
+    (0, -1, 0) has b_0 = 0 as the float solve does."""
     A = [[0, 0, 0, 0]] * 5 + [[2, -1, 0, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
     prob = LpProblem([0, 0, 0, 0], A, [0, 0, 0, 0, 0, 1, 0, -1])
     out = solve(prob)
     status, b_ref = highs_reference(prob)
     assert status == "optimal" and isinstance(out, Optimal)
+    kept = [0, 1, 3]
+    reduced = LpProblem(prob.objective[kept], prob.constraints[:, kept], prob.rhs)
+    assert exact_optimal_check(reduced, replace(out, solution=out.solution[kept])) == 0.0
     assert scale_relative_error(prob, out.solution, b_ref) <= 1e-9
+
+
+def test_fit_lp_bases_are_exactly_optimal(monkeypatch):
+    """Every Optimal basis of the LPs ``fit_at`` poses passes
+    ``exact_optimal_check``: q = 1-3, degrees up to 8 at q = 1, windows from
+    the ladder's bottom rung, where n (2h)^q = p, to h = 0.3, and responses
+    offset by up to 1e6. An optimum whose phase 1 dropped a redundant row
+    has fewer active rows than p and no square basis, so it is only counted."""
+    calls = count_calls(monkeypatch, "locfront.lp", "solve")
+    rng, n = np.random.default_rng(26), 300
+    for q, degree in [(1, 1), (1, 2), (1, 3), (1, 5), (1, 8), (2, 1), (2, 2), (2, 3),
+                      (3, 1), (3, 2)]:
+        bottom = 0.5 * (len(enumerate_basis(q, degree)) / n) ** (1.0 / q)
+        for offset in (0.0, 1e3, 1e6):
+            points = rng.uniform(0, 1, (n, q))
+            s = points.sum(axis=1)
+            ds = Dataset(points, np.sin(3 * s) + s - rng.exponential(0.5, n) + offset)
+            for h in (bottom, 2 * bottom, 0.3):
+                cfg = EstimatorConfig(beta_star=degree, h=h, empty_window="expand")
+                fit_grid(ds, rng.uniform(0, 1, (4, q)), cfg)
+    optima = [(call["prob"], call["result"]) for call in calls
+              if isinstance(call["result"], Optimal)]
+    square = [(prob, out) for prob, out in optima if out.active.size == prob.shape[1]]
+    errors = [exact_optimal_check(prob, out) for prob, out in square]
+    print(f"{len(square)} of {len(optima)} optima checked exactly, the rest with a "
+          f"dropped row; largest error {max(errors):.2e}")
+    assert len(errors) >= 300
+    assert max(errors) <= 1e-9
 
 
 pivot_entries = st.one_of(
