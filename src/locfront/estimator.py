@@ -147,7 +147,8 @@ class FitResult:
     ``n_active`` column of ``locfront fit``'s output, not ``len(active_rows)``.
     ``active_rows`` holds the ascending dataset row numbers the polynomial
     touches, the LP's optimal basis or at degree 0 the first window row at
-    the maximum; they can start a fit at a nearby window.
+    the maximum; they can start a fit at a nearby window, unless phase 1
+    dropped a redundant row and they are fewer than p.
     """
 
     value: float
@@ -223,7 +224,6 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
     shift = float(y.max())
 
     degree = cfg.beta_star
-    coeffs, active = np.array([shift]), y.argmax(keepdims=True)  # degree 0, no LP
     if degree:
         full_basis = enumerate_basis(data.q, degree)
         A_full = vandermonde(full_basis, data.points.take(rows, axis=0), xv)
@@ -244,6 +244,8 @@ def fit_at(data: Dataset, x, cfg: EstimatorConfig, start=None) -> FitResult:
             raise UnboundedFitError(f"degree-{degree} fit at {xv.tolist()} is unbounded "
                                     f"({rows.size} points in window)")
         degree -= 1
+    if not degree:
+        coeffs, active = np.array([shift]), y.argmax(keepdims=True)  # degree 0, no LP
 
     if degree < cfg.beta_star:
         status = "degraded"

@@ -24,8 +24,9 @@ begins from B^-1 [(A/d)^T | v] with B the start's columns: a row whose basic
 value is negative is negated and put on an artificial, and every other row
 keeps its start row as its basic variable. That is a repair phase: it pivots
 only the rows the start gets wrong, and a start that is already dual
-feasible pays no phase-1 pivot. Without a start, or with a B that is
-singular or ill-conditioned, every row takes an artificial (the cold start).
+feasible pays no phase-1 pivot. Without a start every row takes an
+artificial (the cold start), and a start whose B is singular or
+ill-conditioned, or under which a row looks redundant, goes back to it.
 Both run the same simplex, redundant-row cleanup and phase 2.
 
 Tolerances are scale-free. The entries of a windowed objective shrink like
@@ -98,8 +99,8 @@ class Optimal:
     """Optimal b and its dual certificate g, shape (m,): g >= 0, A^T g = v and
     y.g = v.b, each within the solver's tolerance. ``active`` holds the
     ascending row positions of the optimal basis, the rows b meets with
-    equality. ``dual`` and ``active`` are None only on an outcome built by
-    hand without them."""
+    equality, fewer than p after phase 1 drops a redundant row. ``dual``
+    and ``active`` are None only on an outcome built by hand without them."""
 
     solution: np.ndarray
     objective_value: float
@@ -236,9 +237,8 @@ def _start_tableau(A, d, v, start, T: np.ndarray) -> list[int] | None:
     inverse; the constraint part is (B^-1 / d) A^T, which spares scaling all
     of A. A row whose basic value B^-1 v is negative is negated and put on
     the artificial m + i of its row i; the cost row is the artificials' unit
-    cost reduced against that basis. Returns None, with T left for the cold
-    start to overwrite, when B is singular or B^-1 B is off the identity by
-    more than TOL.
+    cost reduced against that basis. Returns None, for the cold start, when
+    B is singular or B^-1 B is off the identity by more than TOL.
     """
     m, p = A.shape
     try:
@@ -264,22 +264,21 @@ def _start_tableau(A, d, v, start, T: np.ndarray) -> list[int] | None:
 def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int, start=None):
     """Basic solution of {g >= 0 : (A / d)^T g = v} in the scaled problem.
 
-    ``start`` is p row positions to begin from (``_start_tableau``), or None.
-    Returns None when the set is empty. Otherwise returns (T, basis, kept):
-    the tableau with its phase-1 cost row, the basic column of each tableau
-    row, and the equality rows left after dropping the redundant ones, which
-    are linear combinations of the kept rows. When no row is dropped, T is
-    the tableau the pivots ran on and ``kept`` is the full slice.
+    ``start`` is p row positions to begin from (``_start_tableau``), or None;
+    a start refused there, or under which a row looks redundant, goes back
+    to the cold start. Returns None when the set is empty, else (T, basis,
+    kept): the tableau with its phase-1 cost row, the basic column of each
+    tableau row, and the list of equality rows left after dropping the
+    redundant ones (linear combinations of the kept rows), or ``slice(None)``
+    when none was dropped, with T the tableau the pivots ran on.
     """
     m, p = A.shape
     T = np.empty((p + 1, m + 1))
     work = np.empty_like(T)
-    # Artificial basics are numbered m..m+p-1, one per tableau row. Their
-    # columns are not stored: an artificial that leaves the basis never
-    # re-enters, and none is needed afterwards.
-    basis = None if start is None else _start_tableau(A, d, v, start, T)
-    warm = basis is not None
-    if not warm:
+    # Artificial m + i starts in tableau row i. Their columns are not stored:
+    # one that leaves the basis never re-enters (none is needed afterwards),
+    # so a basic one is still in its own row.
+    if start is None:
         # cold: every row is oriented to a nonnegative rhs, on an artificial
         sign = np.array([-1.0 if c < 0.0 else 1.0 for c in v.tolist()])
         # A / -d is -(A / d) bit for bit, so one divide writes the oriented rows
@@ -289,32 +288,31 @@ def _phase1(A: np.ndarray, d: np.ndarray, v: np.ndarray, max_iter: int, start=No
         np.add.reduce(T[:p], axis=0, out=T[p])
         np.negative(T[p], out=T[p])
         basis = list(range(m, m + p))
-    if _run_simplex(T, basis, max_iter, work) != "optimal":
-        # the artificial sum is bounded below by zero; anything else is breakdown
-        raise SimplexIterationError("phase 1 of the dual ended unbounded")
-    if -T[p, m] > 100 * TOL:
-        return None
-
-    rows = []
-    dropped = []
-    for i in range(p):
-        if basis[i] >= m:
-            # basic artificial at zero: pivot it out or drop the redundant row
-            entries = np.abs(T[i, :m])
-            k = int(np.argmax(entries))
-            if entries[k] <= 10 * TOL:
-                dropped.append(basis[i] - m)
-                continue
-            _pivot(T, basis, i, k, work)
-        rows.append(i)
-    if not dropped:
-        return T, basis, slice(None)
-    if warm:
-        # a start basis spans every equality row, so a row that looks
-        # redundant is rounding trouble, and the cold start decides instead
-        return _phase1(A, d, v, max_iter)
-    kept = [j for j in range(p) if j not in dropped]
-    return T[rows + [p]], [basis[i] for i in rows], kept
+    else:
+        basis = _start_tableau(A, d, v, start, T)
+    if basis is not None:
+        if _run_simplex(T, basis, max_iter, work) != "optimal":
+            # the artificial sum is bounded below by zero; anything else is breakdown
+            raise SimplexIterationError("phase 1 of the dual ended unbounded")
+        if -T[p, m] > 100 * TOL:
+            return None
+        rows = []  # the kept tableau rows, and so the kept equality rows
+        for i in range(p):
+            if basis[i] >= m:
+                # basic artificial at zero: pivot it out or drop the redundant row
+                entries = np.abs(T[i, :m])
+                k = int(np.argmax(entries))
+                if entries[k] <= 10 * TOL:
+                    continue
+                _pivot(T, basis, i, k, work)
+            rows.append(i)
+        if len(rows) == p:
+            return T, basis, slice(None)
+        if start is None:
+            return T[rows + [p]], [basis[i] for i in rows], rows
+    # a refused start, or one under which a row looks redundant: a start
+    # basis spans every equality row, so the cold start decides instead
+    return _phase1(A, d, v, max_iter)
 
 
 def solve(prob: LpProblem, start=None) -> LpOutcome:
@@ -348,11 +346,8 @@ def solve(prob: LpProblem, start=None) -> LpOutcome:
     # the active rows hold with equality: A_B b = y_B, redundant coefficients
     # 0, and the rows are taken in ascending order whatever the pivot path
     active = np.array(sorted(basis), dtype=np.intp)
-    c = np.linalg.solve((A.take(active, axis=0) / d)[:, kept], y.take(active))
-    if c.shape[0] < d.shape[0]:
-        full = np.zeros(d.shape[0])
-        full[kept] = c
-        c = full
+    c = np.zeros(p)
+    c[kept] = np.linalg.solve((A.take(active, axis=0) / d)[:, kept], y.take(active))
     b = c * y_scale / d
     # the optimal basic g of the scaled dual, mapped back to A^T g = v
     g = np.zeros(m)

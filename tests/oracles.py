@@ -3,10 +3,11 @@
 Each oracle deliberately avoids the code path it verifies: quadrature instead
 of antiderivatives, exact rationals instead of floating-point products, direct
 rule evaluation instead of the incremental scan, vertex enumeration and scipy's
-HiGHS instead of the package's simplex, and ``exact_optimal_check`` re-derives
-an optimal basis's solution and multipliers in rationals. ``random_lp`` draws
-the random local LPs those oracles check, and ``count_calls`` records the calls
-the package makes to one of its functions.
+HiGHS instead of the package's simplex, ``exact_optimal_check`` re-derives
+an optimal basis's solution and multipliers in rationals, and
+``concave_envelope`` gives a degree-1 fit's optimum as a convex hull.
+``random_lp`` draws the random local LPs those oracles check, and
+``count_calls`` records the calls the package makes to one of its functions.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from locfront import lp
 from locfront.basis import enumerate_basis
@@ -321,25 +323,98 @@ def exact_optimal_check(prob, outcome) -> float:
     A_B, the rows of A in ``outcome.active``, must be square and nonsingular;
     its exact basic solution b* = A_B^-1 y_B must satisfy A b* >= y on every
     row, and its multipliers g_B = A_B^-T v must be >= 0, which together
-    prove b* optimal. A failed check raises AssertionError. Returns
-    |b_0 - b*_0| for the float solution b, relative to the response spread
-    max(y) - min(y) (absolute when the spread is 0).
+    prove b* optimal. An outcome with fewer active rows than p is reduced
+    first by the zero columns j of A: each needs v_j == 0 and b_j == 0, b*_j
+    is 0, and their number must make up the shortfall, so that the other
+    columns' A_B is square; any other short basis fails. A failed check
+    raises AssertionError. Returns |b_0 - b*_0| for the float solution b,
+    relative to the response spread max(y) - min(y) (absolute when the
+    spread is 0).
     """
     A = [[Fraction(a) for a in row] for row in prob.constraints.tolist()]
     y = [Fraction(c) for c in prob.rhs.tolist()]
     v = [Fraction(c) for c in prob.objective.tolist()]
     active = outcome.active.tolist()
-    assert len(active) == len(v), f"{len(active)} active rows for {len(v)} coefficients"
+    p = len(v)
+    zero = [j for j in range(p) if not any(row[j] for row in A)] if len(active) < p else []
+    assert len(active) + len(zero) == p, \
+        f"{len(active)} active rows and {len(zero)} zero columns for {p} coefficients"
+    for j in zero:
+        assert v[j] == 0 and outcome.solution[j] == 0.0, \
+            f"zero column {j} has v_j = {float(v[j])} and b_j = {outcome.solution[j]}"
+    kept = [j for j in range(p) if j not in zero]
+    A = [[row[j] for j in kept] for row in A]
     A_B = [A[i] for i in active]
     b = _exact_solve(A_B, [y[i] for i in active])
     assert b is not None, f"A_B is singular on the rows {active}"
     violated = [i for i, (row, c) in enumerate(zip(A, y)) if sum(map(Fraction.__mul__, row, b)) < c]
     assert not violated, f"A b* >= y fails on the rows {violated}"
-    g = _exact_solve(list(zip(*A_B)), v)
+    g = _exact_solve(list(zip(*A_B)), [v[j] for j in kept])
     assert min(g) >= 0, f"negative multiplier g_B = {[float(c) for c in g]}"
-    error = abs(Fraction(float(outcome.solution[0])) - b[0])
+    error = abs(Fraction(float(outcome.solution[0])) - dict(zip(kept, b)).get(0, 0))
     spread = max(y) - min(y)
     return float(error / spread if spread else error)
+
+
+def concave_envelope(points, responses, lower, upper):
+    """(value, margin): the upper concave envelope of the lifted window
+    points (t_i, y_i) at the centroid c of the box [lower, upper], and c's
+    signed distance to the boundary of the convex hull of the t_i, positive
+    inside. ``value`` is None unless the margin is positive; the hull of
+    points that do not span R^q has no inside, so c is at best on it.
+
+    With the LP's rhs as the responses, this is the optimum of a degree-1
+    fit LP, whose objective is v_0 (1, c - x), divided by the window volume
+    v_0, and the LP is unbounded exactly when c is outside the hull. At
+    q = 1 the envelope is an exact monotone chain in rationals, with c the
+    exact midpoint of the float corners. At q = 2 c is the float midpoint,
+    the margin comes from qhull's hull of the t_i, and the value from its
+    hull of the lifted points together with a copy of each t_i one spread
+    below the lowest response, which is solid whenever the t_i span the
+    plane; its upward facets are the envelope.
+    """
+    t = np.asarray(points, dtype=float)
+    y = np.asarray(responses, dtype=float)
+    q = t.shape[1]
+    if q == 1:
+        c = (Fraction(lower[0]) + Fraction(upper[0])) / 2
+        top = {}
+        for a, b in zip(map(Fraction, t[:, 0].tolist()), map(Fraction, y.tolist())):
+            top[a] = max(b, top.get(a, b))
+        margin = min(c - min(top), max(top) - c)
+        if margin <= 0:
+            return None, float(margin)
+        chain = []  # the upper hull, left to right: every turn is clockwise
+        for a in sorted(top):
+            while len(chain) >= 2 and (
+                    (chain[-1][0] - chain[-2][0]) * (top[a] - chain[-2][1])
+                    >= (chain[-1][1] - chain[-2][1]) * (a - chain[-2][0])):
+                chain.pop()
+            chain.append((a, top[a]))
+        (a0, b0), (a1, b1) = next(pair for pair in zip(chain, chain[1:]) if pair[1][0] >= c)
+        return float(b0 + (b1 - b0) * (c - a0) / (a1 - a0)), float(margin)
+    if q != 2:
+        raise ValueError(f"concave_envelope covers q = 1 and 2, got q = {q}")
+    c = (np.asarray(lower, dtype=float) + np.asarray(upper, dtype=float)) / 2
+    mean = t.mean(axis=0)
+    _, sv, axes = np.linalg.svd(t - mean)
+    if sv.size < q or sv[-1] <= 1e-12 * max(sv[0], 1e-300):
+        # a segment or a point: the distance from c to it
+        s = (t - mean) @ axes[0]
+        nearest = mean + np.clip((c - mean) @ axes[0], s.min(), s.max()) * axes[0]
+        return None, -float(np.linalg.norm(c - nearest))
+    facets = ConvexHull(t).equations
+    margin = -float((facets[:, :q] @ c + facets[:, q]).max())
+    if margin <= 0.0:
+        return None, margin
+    # shifted to a zero maximum, so qhull sees one scale whatever the offset
+    top = y.max()
+    low = -2.0 * (np.ptp(y) or 1.0)
+    lifted = np.vstack([np.column_stack([t, y - top]), np.column_stack([t, np.full(len(y), low)])])
+    normal = ConvexHull(lifted).equations
+    up = normal[:, q] > 0.0
+    heights = -(normal[up, q + 1] + normal[up, :q] @ c) / normal[up, q]
+    return float(heights.min() + top), margin
 
 
 def random_lp(rng) -> lp.LpProblem:

@@ -176,10 +176,17 @@ class TestGridRuns:
         grid = run_mse(grid_spec, workers=1)
         assert grid.cells == center.cells
 
-    def test_determinism_across_workers(self):
-        spec = small_center_spec(
-            evaluation="grid", grid_points_per_axis=3, replications=6, n_list=(100,)
-        )
+    @pytest.mark.parametrize("spec", [
+        small_center_spec(evaluation="grid", grid_points_per_axis=3, replications=6,
+                          n_list=(100,)),
+        # the deterministic design's degenerate path: phase 1 drops an
+        # equality row on 600 of each replication's 1681 LPs
+        ExperimentSpec(q=2, n_list=(400,), beta_star_list=(1,), replications=2,
+                       master_seed=3, design="equidistant_grid",
+                       bandwidth=BandwidthRule("fixed", h=0.03), evaluation="grid",
+                       grid_points_per_axis=41),
+    ], ids=["random", "equidistant"])
+    def test_determinism_across_workers(self, spec):
         assert run_mse(spec, workers=1).cells == run_mse(spec, workers=2).cells
 
     def test_cell_recomputed_from_public_pieces(self):
